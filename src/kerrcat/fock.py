@@ -20,6 +20,7 @@ Conventions
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -201,6 +202,13 @@ class QuadratureResult:
 def _check_same_dim(d1: int, d2: int) -> None:
     if d1 != d2:
         raise ValueError(f"dimension mismatch: {d1} != {d2}")
+
+
+def require_finite(owner: str, **values) -> None:
+    """Raise ``ValueError`` naming the first NaN or infinite value."""
+    for name, value in values.items():
+        if not cmath.isfinite(value):
+            raise ValueError(f"{owner}.{name} must be finite, got {value!r}")
 
 
 def _compose_kinds(k1: str, k2: str) -> str:

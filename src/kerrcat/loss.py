@@ -48,6 +48,7 @@ from kerrcat.fock import (
     force_kick,
     kerr_unitary,
     ladder_ops,
+    require_finite,
 )
 
 __all__ = [
@@ -159,6 +160,15 @@ class LossParams:
     n_bar: float = field(init=False)
 
     def __post_init__(self) -> None:
+        require_finite(
+            "LossParams",
+            kappa=self.kappa,
+            gamma=self.gamma,
+            g=self.g,
+            omega_m=self.omega_m,
+            lambda_kerr=self.lambda_kerr,
+            temp=self.temp,
+        )
         if self.omega_m <= 0.0:
             raise ValueError("omega_m must be strictly positive")
         if self.lambda_kerr <= 0.0:
@@ -368,8 +378,7 @@ def mean_X_lossy(alpha: float, delta_prime: float, lp: LossParams) -> float:
             "loss per Kerr stage is large (kappa*tau_kerr > 0.3); the weak-loss model is unreliable",
             stacklevel=2,
         )
-    coeffs, amps = lossy_pipeline(alpha, delta_prime, lp.eta, lp.xi)
-    return mean_x(coeffs, amps)
+    return mean_x(*lossy_pipeline(alpha, delta_prime, lp.eta, lp.xi))
 
 
 def mean_X_lossy_linearized(alpha: float, delta_prime: float, lp: LossParams) -> float:

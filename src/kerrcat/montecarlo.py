@@ -11,6 +11,9 @@ Philox streams keyed ``(seed, purpose)`` drive kicks, emission decisions,
 and outcome coins, one uniform per shot per stream. Identical
 ``(config, seed)`` reproduce results bit-exactly regardless of scheduling.
 
+Shots are simulated in fixed-size chunks drawn from those streams, which
+gives the same counts as one batch and keeps memory bounded.
+
 Two outcome engines are provided. The ``analytic`` engine evaluates
 ``p1`` exactly from the coherent-branch algebra (closed-form Gaussian
 half-line integrals), vectorized over shots. The ``brute-force`` engine
@@ -30,7 +33,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from kerrcat._coherent import ideal_pipeline, lossy_pipeline, prob_x_positive
-from kerrcat.fock import default_truncation, quadrature_distribution
+from kerrcat.fock import default_truncation, quadrature_distribution, require_finite
 from kerrcat.loss import (
     KickStats,
     LossParams,
@@ -58,6 +61,9 @@ _KICK_STREAM = 1
 _EMISSION_STREAM = 2
 _OUTCOME_STREAM = 3
 
+#: Shots evaluated per batch by ``run_experiment``.
+_CHUNK_SHOTS = 2**16
+
 #: Largest single-mode dimension the brute-force engine accepts.
 MAX_BRUTE_FORCE_DIM = 160
 
@@ -81,12 +87,15 @@ class ForceSpec:
     samples: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self) -> None:
+        require_finite("ForceSpec", amplitude=self.amplitude, phase=self.phase)
         if self.shape not in _FORCE_SHAPES:
             raise ValueError(f"unknown force shape {self.shape!r}; expected one of {_FORCE_SHAPES}")
         if self.shape == "custom-samples":
             if not self.samples:
                 raise ValueError("custom-samples force requires a non-empty samples table")
             table = tuple((float(t), float(f)) for t, f in self.samples)
+            for t, f in table:
+                require_finite("ForceSpec.samples", time=t, value=f)
             times = [t for t, _ in table]
             if any(b <= a for a, b in zip(times, times[1:])):
                 raise ValueError("sample times must be strictly increasing")
@@ -123,6 +132,7 @@ class ExperimentConfig:
     engine: str = "analytic"
 
     def __post_init__(self) -> None:
+        require_finite("ExperimentConfig", shots=self.shots, seed=self.seed)
         if self.shots < 1:
             raise ValueError("shots must be at least 1")
         if not 0 <= int(self.seed) < 2**64:
@@ -184,11 +194,11 @@ def _p1_analytic(delta_prime, config: ExperimentConfig):
     """Exact no-emission outcome probability from the coherent-branch algebra."""
     total = np.asarray(_total_kick(np.asarray(delta_prime, dtype=float), config))
     if config.loss is None:
-        coeffs, amps = ideal_pipeline(config.protocol.alpha0, total)
+        coeffs, amps, sign = ideal_pipeline(config.protocol.alpha0, total)
     else:
         lp = config.loss
-        coeffs, amps = lossy_pipeline(complex(config.protocol.alpha0), total, lp.eta, lp.xi)
-    return np.clip(prob_x_positive(coeffs, amps), 0.0, 1.0)
+        coeffs, amps, sign = lossy_pipeline(complex(config.protocol.alpha0), total, lp.eta, lp.xi)
+    return np.clip(prob_x_positive(coeffs, amps, sign), 0.0, 1.0)
 
 
 def _p1_brute_force(delta_prime: float, config: ExperimentConfig) -> float:
@@ -281,18 +291,28 @@ def run_experiment(config: ExperimentConfig) -> SignalEstimate:
     heads with probability 1/2 (emission scrambles the phase) or with the
     no-emission ``p1(kick)``. All three decisions come from independent
     counter-based streams derived from ``config.seed``, so results are
-    bit-exact for identical inputs.
+    bit-exact for identical inputs. Shots run in chunks of ``_CHUNK_SHOTS``;
+    a Philox stream yields the same uniforms whether drawn at once or in
+    chunks, so the chunk size does not change the counts, and memory stays
+    bounded at any shot count.
     """
     m_total = config.shots
     stats = _kick_stats(config)
-    kicks = sample_kick(_stream(config.seed, _KICK_STREAM), stats, size=m_total)
-    p1 = np.asarray(outcome_probability(kicks, config))
     p_emit = _emission_prob(config)
-    u_emit = _stream(config.seed, _EMISSION_STREAM).random(m_total)
-    u_out = _stream(config.seed, _OUTCOME_STREAM).random(m_total)
-    heads = np.where(u_emit < p_emit, u_out < 0.5, u_out < p1)
+    kick_rng = _stream(config.seed, _KICK_STREAM)
+    emit_rng = _stream(config.seed, _EMISSION_STREAM)
+    out_rng = _stream(config.seed, _OUTCOME_STREAM)
+    m_counts = 0
+    for start in range(0, m_total, _CHUNK_SHOTS):
+        size = min(_CHUNK_SHOTS, m_total - start)
+        kicks = sample_kick(kick_rng, stats, size=size)
+        p1 = np.asarray(outcome_probability(kicks, config))
+        u_emit = emit_rng.random(size)
+        u_out = out_rng.random(size)
+        heads = np.where(u_emit < p_emit, u_out < 0.5, u_out < p1)
+        m_counts += int(np.count_nonzero(heads))
     return SignalEstimate(
-        m_counts=int(np.count_nonzero(heads)),
+        m_counts=m_counts,
         M=m_total,
         seed=config.seed,
         params_digest=_digest(config),

@@ -28,6 +28,7 @@ from kerrcat.fock import (
     default_truncation,
     force_kick,
     kerr_unitary,
+    require_finite,
 )
 
 __all__ = [
@@ -70,6 +71,7 @@ class ProtocolParams:
     truncation: int | None = None
 
     def __post_init__(self) -> None:
+        require_finite("ProtocolParams", alpha0=complex(self.alpha0), delta=self.delta)
         if self.apply_offset and self.alpha == 0.0:
             raise ValueError("the offset working point requires Re(alpha0) != 0")
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,6 +264,20 @@ class TestRunExperiment:
         assert 0 <= est.m_counts <= 400
         assert est.sigma_S == pytest.approx(1.0 / math.sqrt(1600.0), abs=1e-15)
         assert est.S == pytest.approx(est.m_counts / 400.0 - 0.5, abs=1e-15)
+
+
+class TestBoundedMemory:
+    def test_million_shot_run_stays_under_64_mb(self):
+        # Shots run in fixed-size chunks, so the peak does not grow with M.
+        cfg = lossy_config(loss=reference_params(temp=0.05), shots=1_000_000, seed=9)
+        tracemalloc.start()
+        try:
+            estimate = run_experiment(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert estimate.M == 1_000_000
+        assert peak < 64 * 2**20
 
 
 class TestEnsembleStatistics:
