@@ -367,8 +367,9 @@ def run_lossy_trajectory(
 def mean_X_lossy(alpha: float, delta_prime: float, lp: LossParams) -> float:
     """Mean quadrature of the lossy pipeline, conditioned on no emission.
 
-    Evaluated exactly from the coherent-branch algebra of the pipeline
-    (four Gaussian overlap terms), so it tracks the brute-force two-mode
+    Evaluated exactly from the coherent-branch algebra of the pipeline (the
+    final Kerr map folded into one interference term between the two
+    components entering it), so it tracks the brute-force two-mode
     model to numerical precision. At ``delta_prime = 0`` it equals
     ``-xi*eta^2*alpha`` exactly. Warns when ``kappa*tau_kerr > 0.3``, where
     the weak-loss reading of the model is no longer meaningful.

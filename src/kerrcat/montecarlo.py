@@ -11,9 +11,6 @@ Philox streams keyed ``(seed, purpose)`` drive kicks, emission decisions,
 and outcome coins, one uniform per shot per stream. Identical
 ``(config, seed)`` reproduce results bit-exactly regardless of scheduling.
 
-Shots are simulated in fixed-size chunks drawn from those streams, which
-gives the same counts as one batch and keeps memory bounded.
-
 Two outcome engines are provided. The ``analytic`` engine evaluates
 ``p1`` exactly from the coherent-branch algebra (closed-form Gaussian
 half-line integrals), vectorized over shots. The ``brute-force`` engine

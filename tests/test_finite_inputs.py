@@ -57,11 +57,3 @@ def test_non_finite_input_is_rejected(name):
     with pytest.raises(ValueError, match="must be finite"):
         CASES[name]()
 
-
-def test_finite_inputs_still_construct():
-    LossParams(**_RATES)
-    ExperimentConfig(
-        protocol=ProtocolParams(alpha0=1.5 + 0.5j, delta=0.01),
-        loss=LossParams(**_RATES),
-        force_spec=ForceSpec(shape="custom-samples", amplitude=1.0, samples=((0.0, 1.0), (1e-6, 0.5))),
-    )

@@ -25,11 +25,11 @@ GOLDEN = Path(__file__).parent / "golden" / "shot_engine.json"
 S_ANALYTIC_TOL = 1e-12
 
 
-def _lossy(alpha0=1.5, temp=0.0, **kwargs) -> ExperimentConfig:
-    kwargs.setdefault("shots", 20_000)
+def _lossy(alpha0=1.5, delta=0.0, temp=0.0, shots=20_000, **kwargs) -> ExperimentConfig:
     return ExperimentConfig(
-        protocol=ProtocolParams(alpha0=alpha0, delta=kwargs.pop("delta", 0.0), apply_offset=True),
+        protocol=ProtocolParams(alpha0=alpha0, delta=delta, apply_offset=True),
         loss=reference_params(temp=temp),
+        shots=shots,
         **kwargs,
     )
 

@@ -277,7 +277,7 @@ class TestBoundedMemory:
         finally:
             tracemalloc.stop()
         assert estimate.M == 1_000_000
-        assert peak < 64 * 2**20
+        assert peak < 64e6
 
 
 class TestEnsembleStatistics:
