@@ -59,12 +59,14 @@ from kerrcat.loss import (
     single_emission_state,
     swap_parameters,
     thermal_occupation,
+    two_mode_conditional_mean,
 )
 from kerrcat.montecarlo import (
     ExperimentConfig,
     ForceSpec,
     coin_bias_from_signal,
     outcome_probability,
+    predicted_signal,
     run_experiment,
     sample_kick,
     sweep,
@@ -111,10 +113,12 @@ __all__ = [
     "single_emission_state",
     "swap_parameters",
     "thermal_occupation",
+    "two_mode_conditional_mean",
     "ExperimentConfig",
     "ForceSpec",
     "coin_bias_from_signal",
     "outcome_probability",
+    "predicted_signal",
     "run_experiment",
     "sample_kick",
     "sweep",

@@ -44,20 +44,20 @@ from kerrcat.loss import (
     LossParams,
     OverdampedTransferError,
     emission_probability,
-    loss_channel,
     lossy_kerr_propagator,
     mean_X_lossy,
     momentum_kick_stats,
     run_lossy_trajectory,
     thermal_occupation,
+    two_mode_conditional_mean,
 )
 from kerrcat.montecarlo import (
     SWEEP_AXES,
     ExperimentConfig,
     ForceSpec,
+    predicted_signal,
     run_experiment,
     sweep as run_sweep,
-    _predicted_signal,
 )
 from kerrcat.protocol import (
     ProtocolParams,
@@ -332,19 +332,6 @@ class CheckRow:
         return self.diff <= self.tolerance
 
 
-def _two_mode_conditional_mean(alpha: float, delta_prime: float, lp: LossParams, N: int = 24) -> float:
-    """Brute-force lossy pipeline on system (x) auxiliary, vacuum-conditioned."""
-    w = lossy_kerr_propagator(math.pi / 2.0, lp, N).entries
-    channel = loss_channel(lp, delta_prime, N).entries
-    w2 = np.kron(w, np.eye(N))
-    vac = np.zeros(N)
-    vac[0] = 1.0
-    psi = w2 @ (channel @ (w2 @ np.kron(coherent_state(alpha, N).amplitudes, vac)))
-    cond = psi.reshape(N, N)[:, 0]
-    cond = cond / np.linalg.norm(cond)
-    return mean_quadrature(FockVector(cond, N))
-
-
 def _ideal_rows(config: ExperimentConfig) -> list[CheckRow]:
     rows = []
     alphas = [1.0, 1.5, 2.0, 2.5]
@@ -414,8 +401,8 @@ def _lossy_rows(config: ExperimentConfig) -> list[CheckRow]:
             CheckRow(
                 name=f"lossy_mean alpha={alpha:g} delta'={delta_prime:g}",
                 analytic=mean_X_lossy(alpha, delta_prime, lp),
-                numeric=_two_mode_conditional_mean(alpha, delta_prime, lp),
-                tolerance=2e-2,
+                numeric=two_mode_conditional_mean(alpha, delta_prime, lp),
+                tolerance=1e-10,
             )
         )
     target = lp.xi * lp.eta**2 * alpha
@@ -624,7 +611,7 @@ def shots(config_path, seed, shots, engine) -> None:
         if engine is not None:
             config = dataclasses.replace(config, engine=engine)
         estimate = run_experiment(config)
-        s_analytic, p_emit = _predicted_signal(config)
+        s_analytic, p_emit = predicted_signal(config)
     except OverdampedTransferError as exc:
         _fail_physical(exc)
     except ScenarioError as exc:

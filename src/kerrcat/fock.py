@@ -312,13 +312,22 @@ def force_kick(delta: float, N: int) -> FockOperator:
     return FockOperator((evecs * phases) @ evecs.conj().T, N, "unitary")
 
 
+def _simpson_weights(size: int, step: float) -> np.ndarray:
+    """Composite Simpson weights for ``size`` (odd) equally spaced nodes."""
+    w = np.ones(size)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w * (step / 3.0)
+
+
 @lru_cache(maxsize=8)
-def _hermite_grid(N: int, grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _hermite_grid(N: int, grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Symmetric position grid, Hermite-function table, and Simpson weights.
 
-    Returns ``(u, phi, w)`` where ``phi[n]`` samples the n-th oscillator
-    eigenfunction on ``u`` and ``w`` are Simpson quadrature weights. The
-    stable three-term recurrence avoids factorial overflow.
+    Returns ``(u, phi, w, w_half)`` where ``phi[n]`` samples the n-th
+    oscillator eigenfunction on ``u``, ``w`` are Simpson weights over the
+    whole grid and ``w_half`` over the half-axis ``u >= 0``. The stable
+    three-term recurrence avoids factorial overflow.
     """
     u_max = math.sqrt(2.0 * N) + 8.0
     u = np.linspace(-u_max, u_max, grid)
@@ -328,13 +337,12 @@ def _hermite_grid(N: int, grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
         phi[1] = math.sqrt(2.0) * u * phi[0]
     for k in range(2, N):
         phi[k] = math.sqrt(2.0 / k) * u * phi[k - 1] - math.sqrt((k - 1) / k) * phi[k - 2]
-    w = np.ones(grid)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= (u[1] - u[0]) / 3.0
-    for arr in (u, phi, w):
+    h = u[1] - u[0]
+    w = _simpson_weights(grid, h)
+    w_half = _simpson_weights(grid - grid // 2, h)
+    for arr in (u, phi, w, w_half):
         arr.setflags(write=False)
-    return u, phi, w
+    return u, phi, w, w_half
 
 
 def _round_up_grid(grid_size: int) -> int:
@@ -353,6 +361,9 @@ def quadrature_distribution(psi: FockVector, grid_size: int = 4001) -> Quadratur
     stable Hermite-function recurrence on a symmetric grid, integrated with
     Simpson's rule. ``grid_size`` is rounded up to the next ``4k+1`` so that
     ``x = 0`` is a grid node and each half-axis has an even panel count.
+    The Hermite table is real, so the real and imaginary parts of the
+    wavefunction are read out by one real product and the density is their
+    sum of squares; the table is never promoted to complex.
 
     Raises
     ------
@@ -361,9 +372,9 @@ def quadrature_distribution(psi: FockVector, grid_size: int = 4001) -> Quadratur
         1e-6 relative to the state's own norm.
     """
     grid = _round_up_grid(int(grid_size))
-    u, phi, w = _hermite_grid(psi.dim, grid)
-    amp = psi.amplitudes @ phi
-    dens_u = amp.real**2 + amp.imag**2
+    u, phi, w, w_half = _hermite_grid(psi.dim, grid)
+    re, im = np.stack((psi.amplitudes.real, psi.amplitudes.imag)) @ phi
+    dens_u = re * re + im * im
 
     total = float(np.dot(w, dens_u))
     expected = psi.norm**2
@@ -374,11 +385,6 @@ def quadrature_distribution(psi: FockVector, grid_size: int = 4001) -> Quadratur
         )
 
     half = grid // 2  # index of the u = 0 node
-    h = u[1] - u[0]
-    w_half = np.ones(grid - half)
-    w_half[1:-1:2] = 4.0
-    w_half[2:-1:2] = 2.0
-    w_half *= h / 3.0
     prob_pos = float(np.dot(w_half, dens_u[half:])) / total
     mean_u = float(np.dot(w, u * dens_u)) / total
 

@@ -48,6 +48,7 @@ from kerrcat.fock import (
     force_kick,
     kerr_unitary,
     ladder_ops,
+    mean_quadrature,
     require_finite,
 )
 
@@ -59,6 +60,7 @@ __all__ = [
     "thermal_occupation",
     "momentum_kick_stats",
     "loss_channel",
+    "two_mode_conditional_mean",
     "lossy_kerr_propagator",
     "single_emission_state",
     "run_lossy_trajectory",
@@ -245,6 +247,28 @@ def momentum_kick_stats(force_fn: Callable[[float], float], lp: LossParams) -> K
     return KickStats(mean=mean, variance=variance)
 
 
+def _beam_splitter(theta: float, N: int) -> np.ndarray:
+    """Two-mode beam splitter ``exp(-i*theta*G)``, ``G = i(a c_dag - a_dag c)``.
+
+    ``G`` conserves the total photon number ``n = i + j`` (also on the
+    truncated space), so the splitter is block diagonal with ``2N - 1``
+    blocks of size ``<= N``. Block ``n`` is tridiagonal in the system level
+    ``i`` with ``G[i, i+1] = i*sqrt(i+1)*sqrt(n-i)``; each block is
+    diagonalized on its own, and every entry coupling different ``n`` is
+    exactly zero. Basis ordering as in ``loss_channel``.
+    """
+    splitter = np.zeros((N * N, N * N), dtype=complex)
+    for n in range(2 * N - 1):
+        levels = np.arange(max(0, n - N + 1), min(n, N - 1) + 1)
+        lower = levels[:-1]
+        block = np.diag(1j * np.sqrt((lower + 1.0) * (n - lower)), 1)
+        block = block + block.conj().T
+        evals, evecs = np.linalg.eigh(block)
+        index = levels * N + (n - levels)
+        splitter[np.ix_(index, index)] = (evecs * np.exp(-1j * theta * evals)) @ evecs.conj().T
+    return splitter
+
+
 def loss_channel(lp: LossParams, delta_prime: float, N: int) -> FockOperator:
     """Unitary transfer channel on system (x) auxiliary, both of dimension ``N``.
 
@@ -257,21 +281,39 @@ def loss_channel(lp: LossParams, delta_prime: float, N: int) -> FockOperator:
 
     Basis ordering: index ``i*N + j`` is system level ``i``, auxiliary level
     ``j`` (``numpy.kron`` convention with the system factor first).
+
+    The beam splitter conserves the total photon number ``i + j``, so it is
+    built block by block (``2N - 1`` tridiagonal blocks of size ``<= N``)
+    instead of diagonalizing a dense ``N^2 x N^2`` generator, and the system
+    displacement ``D (x) I`` is applied as one ``N x N^3`` product.
     """
     if N > MAX_TWO_MODE_DIM:
         raise ValueError(
             f"two-mode operator of per-mode dimension {N} exceeds the desk-scale bound {MAX_TWO_MODE_DIM}"
         )
-    a, _, _ = ladder_ops(N)
-    eye = np.eye(N)
-    big_a = np.kron(a.entries, eye)
-    big_c = np.kron(eye, a.entries)
-    generator = 1j * (big_a @ big_c.conj().T - big_a.conj().T @ big_c)
-    theta_bs = math.acos(min(lp.xi, 1.0))
-    evals, evecs = np.linalg.eigh(generator)
-    splitter = (evecs * np.exp(-1j * theta_bs * evals)) @ evecs.conj().T
-    displace = np.kron(force_kick(-delta_prime, N).entries, eye)
-    return FockOperator(displace @ splitter, N * N, "unitary")
+    if N < 2:
+        raise ValueError("N must be at least 2")
+    splitter = _beam_splitter(math.acos(min(lp.xi, 1.0)), N)
+    displaced = force_kick(-delta_prime, N).entries @ splitter.reshape(N, N**3)
+    return FockOperator(displaced.reshape(N * N, N * N), N * N, "unitary")
+
+
+def two_mode_conditional_mean(alpha: float, delta_prime: float, lp: LossParams, N: int = 24) -> float:
+    """Brute-force conditional mean quadrature of the lossy pipeline.
+
+    Runs ``W(pi/2)``, ``loss_channel`` and ``W(pi/2)`` on system (x)
+    auxiliary (``N`` levels each, auxiliary starting in vacuum), projects the
+    auxiliary onto vacuum (no emission detected) and returns ``<X>`` of the
+    normalized system state. This is the independent number-basis reference
+    for ``mean_X_lossy``.
+    """
+    w = np.kron(lossy_kerr_propagator(math.pi / 2.0, lp, N).entries, np.eye(N))
+    channel = loss_channel(lp, delta_prime, N).entries
+    vac = np.zeros(N)
+    vac[0] = 1.0
+    psi = w @ (channel @ (w @ np.kron(coherent_state(alpha, N).amplitudes, vac)))
+    cond = psi.reshape(N, N)[:, 0]
+    return mean_quadrature(FockVector(cond / np.linalg.norm(cond), N))
 
 
 def lossy_kerr_propagator(theta: float, lp: LossParams, N: int) -> FockOperator:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -48,6 +49,7 @@ __all__ = [
     "sample_kick",
     "outcome_probability",
     "coin_bias_from_signal",
+    "predicted_signal",
     "run_experiment",
     "sweep",
 ]
@@ -130,9 +132,13 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         require_finite("ExperimentConfig", shots=self.shots, seed=self.seed)
+        for name in ("shots", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"ExperimentConfig.{name} must be an integer, got {value!r}")
         if self.shots < 1:
             raise ValueError("shots must be at least 1")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.engine not in ("analytic", "brute-force"):
             raise ValueError(f"unknown engine {self.engine!r}; expected 'analytic' or 'brute-force'")
@@ -316,7 +322,7 @@ def run_experiment(config: ExperimentConfig) -> SignalEstimate:
     )
 
 
-def _predicted_signal(config: ExperimentConfig) -> tuple[float, float]:
+def predicted_signal(config: ExperimentConfig) -> tuple[float, float]:
     """Exact-engine prediction ``(S, P_emission)`` for a config.
 
     Averages ``p1`` over the thermal kick distribution (21-node
@@ -366,7 +372,7 @@ def sweep(axis: str, values, base: ExperimentConfig) -> list[SweepRow]:
         cell = _apply_axis(base, axis, value)
         cell = dataclasses.replace(cell, seed=base.seed + index)
         estimate = run_experiment(cell)
-        s_analytic, p_emit = _predicted_signal(cell)
+        s_analytic, p_emit = predicted_signal(cell)
         rows.append(
             SweepRow(
                 axis=axis,

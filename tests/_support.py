@@ -21,6 +21,11 @@ def reference_params(temp: float = 0.0) -> LossParams:
     )
 
 
+def no_loss_params() -> LossParams:
+    """Loss parameters with no loss at all (``xi = eta = 1``)."""
+    return LossParams(kappa=0.0, gamma=0.0, g=1.0, omega_m=1e6, lambda_kerr=1.0)
+
+
 def params_for(
     xi_target: float,
     kappa_tau: float,

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from _support import TWO_PI, params_for, reference_params
+from _support import TWO_PI, no_loss_params, params_for, reference_params
 from kerrcat.cli import main as cli_main
 from kerrcat.fock import (
     coherent_state,
@@ -33,6 +33,7 @@ from kerrcat.loss import (
     mean_X_lossy,
     momentum_kick_stats,
     run_lossy_trajectory,
+    two_mode_conditional_mean,
 )
 from kerrcat.montecarlo import ExperimentConfig, sweep
 from kerrcat.protocol import (
@@ -42,7 +43,6 @@ from kerrcat.protocol import (
     mean_X_ideal,
     run_ideal,
 )
-from test_loss import conditional_two_mode_mean, no_loss_params
 
 
 def _linear_fit(x, y):
@@ -134,7 +134,7 @@ def test_criterion_07_lossy_mean_matches_two_mode_brute_force():
         for alpha in (1.0, 1.5):
             for delta_prime in (0.0, 0.02, 0.05):
                 analytic = mean_X_lossy(alpha, delta_prime, lp)
-                brute = conditional_two_mode_mean(alpha, delta_prime, lp)
+                brute = two_mode_conditional_mean(alpha, delta_prime, lp)
                 assert abs(analytic - brute) < 2e-2, (xi_target, alpha, delta_prime)
     assert time.monotonic() - start < 120.0
 

@@ -1,9 +1,10 @@
-"""NaN and infinite inputs are rejected when a parameter object is built."""
+"""NaN, infinite and non-integral inputs are rejected when a parameter object is built."""
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from kerrcat.loss import LossParams
@@ -57,3 +58,28 @@ def test_non_finite_input_is_rejected(name):
     with pytest.raises(ValueError, match="must be finite"):
         CASES[name]()
 
+
+
+def _config(**override):
+    return lambda: ExperimentConfig(protocol=ProtocolParams(alpha0=2.0), **override)
+
+
+NON_INTEGRAL = {
+    "config-shots-fraction": _config(shots=2.5),
+    "config-shots-float": _config(shots=1000.0),
+    "config-shots-bool": _config(shots=True),
+    "config-seed-fraction": _config(seed=1.5),
+    "config-seed-float": _config(seed=3.0),
+    "config-seed-bool": _config(seed=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGRAL))
+def test_non_integral_count_is_rejected(name):
+    with pytest.raises(ValueError, match="must be an integer"):
+        NON_INTEGRAL[name]()
+
+
+def test_numpy_integers_are_accepted():
+    config = ExperimentConfig(protocol=ProtocolParams(alpha0=2.0), shots=np.int64(10), seed=np.uint64(7))
+    assert (config.shots, config.seed) == (10, 7)

@@ -2,7 +2,7 @@
 
 ``golden/shot_engine.json`` holds, per scenario, the ``m_counts`` and
 ``params_digest`` of ``run_experiment`` and the ``S_analytic`` and
-``P_emission`` of ``_predicted_signal``. Counts and digests must match bit
+``P_emission`` of ``predicted_signal``. Counts and digests must match bit
 for bit; ``S_analytic`` within 1e-12. A change that moves a pinned value has
 to justify it; the file is rewritten only on purpose, with
 ``python tests/test_golden.py`` (run with ``src`` and ``tests`` importable).
@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from _support import reference_params
-from kerrcat.montecarlo import ExperimentConfig, ForceSpec, _predicted_signal, run_experiment
+from kerrcat.montecarlo import ExperimentConfig, ForceSpec, predicted_signal, run_experiment
 from kerrcat.protocol import ProtocolParams
 
 GOLDEN = Path(__file__).parent / "golden" / "shot_engine.json"
@@ -66,7 +66,7 @@ SCENARIOS = {
 
 def _record(config: ExperimentConfig) -> dict:
     estimate = run_experiment(config)
-    s_analytic, p_emission = _predicted_signal(config)
+    s_analytic, p_emission = predicted_signal(config)
     return {
         "m_counts": estimate.m_counts,
         "params_digest": estimate.params_digest,
