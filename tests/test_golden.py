@@ -61,6 +61,16 @@ SCENARIOS = {
     ),
     # Crosses several 2**16-shot chunk boundaries and ends on a ragged chunk.
     "lossy-thermal-150001": lambda: _lossy(temp=0.1, shots=150_001, seed=8),
+    # Constant-kick runs: every shot shares one kick and nothing is emitted.
+    "ideal-150001": lambda: ExperimentConfig(
+        protocol=ProtocolParams(alpha0=2.0, delta=0.005, apply_offset=True), shots=150_001, seed=9
+    ),
+    "brute-force-ideal": lambda: ExperimentConfig(
+        protocol=ProtocolParams(alpha0=1.5, delta=0.01, apply_offset=True),
+        shots=5_000,
+        seed=10,
+        engine="brute-force",
+    ),
 }
 
 
