@@ -43,6 +43,7 @@ from kerrcat._coherent import lossy_pipeline, mean_x
 from kerrcat.fock import (
     FockOperator,
     FockVector,
+    _quadrature_eigensystem,
     coherent_state,
     default_truncation,
     force_kick,
@@ -364,10 +365,11 @@ def single_emission_state(
     return psi.normalized(), weight
 
 
-def _transfer_no_emission(lp: LossParams, delta_prime: float, N: int) -> FockOperator:
-    """Single-mode no-emission transfer: ``xi^n`` then displacement ``+i*delta_prime``."""
-    damp = FockOperator(np.diag(lp.xi ** np.arange(N)).astype(complex), N, "contraction")
-    return force_kick(-delta_prime, N) @ damp
+def _no_emission_diagonal(theta: float, lp: LossParams, N: int) -> np.ndarray:
+    """Diagonal of ``lossy_kerr_propagator(theta)``: Kerr phases times decay."""
+    t = theta / lp.lambda_kerr
+    levels = np.arange(N)
+    return np.exp(-1j * theta * levels.astype(float) ** 2) * np.exp(-lp.kappa * t * levels / 2.0)
 
 
 def run_lossy_trajectory(
@@ -385,22 +387,28 @@ def run_lossy_trajectory(
     and a second forward Kerr stage ``W(pi/2)``. ``t_emit=None`` selects the
     emission-free trajectory. Normalization implements conditioning on the
     recorded emission pattern.
+
+    No operator matrix is built: the Kerr stages and ``xi^n`` are diagonal
+    and scale the amplitudes, the emission shifts them down one level, and
+    the displacement is applied in the cached eigenbasis of ``a + a_dag``.
     """
     if N is None:
         N = default_truncation(alpha0)
     half_turn = math.pi / 2.0
-    psi = coherent_state(alpha0, N)
+    psi = coherent_state(alpha0, N).amplitudes
     if t_emit is None:
-        psi = lossy_kerr_propagator(half_turn, lp, N) @ psi
+        psi = _no_emission_diagonal(half_turn, lp, N) * psi
     else:
         if not 0.0 <= t_emit <= lp.tau_kerr:
             raise ValueError("t_emit must lie within the first Kerr stage")
-        a, _, _ = ladder_ops(N)
-        psi = lossy_kerr_propagator(lp.lambda_kerr * t_emit, lp, N) @ psi
-        psi = a @ psi
-        psi = lossy_kerr_propagator(half_turn - lp.lambda_kerr * t_emit, lp, N) @ psi
-    psi = _transfer_no_emission(lp, delta_prime, N) @ psi
-    psi = lossy_kerr_propagator(half_turn, lp, N) @ psi
+        theta = lp.lambda_kerr * t_emit
+        psi = _no_emission_diagonal(theta, lp, N) * psi
+        psi = np.append(np.sqrt(np.arange(1.0, N)) * psi[1:], 0.0)
+        psi = _no_emission_diagonal(half_turn - theta, lp, N) * psi
+    psi = lp.xi ** np.arange(N) * psi
+    evals, evecs = _quadrature_eigensystem(N)
+    psi = evecs @ (np.exp(1j * delta_prime * evals) * (evecs.conj().T @ psi))
+    psi = FockVector(_no_emission_diagonal(half_turn, lp, N) * psi, N)
     if psi.norm == 0.0:
         raise ValueError("trajectory has zero probability")
     return psi.normalized()

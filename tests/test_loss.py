@@ -69,6 +69,22 @@ def dense_loss_channel(lp: LossParams, delta_prime: float, N: int) -> np.ndarray
     return np.kron(force_kick(-delta_prime, N).entries, eye) @ splitter
 
 
+def dense_trajectory(alpha0, delta_prime: float, lp: LossParams, t_emit, N: int) -> np.ndarray:
+    """Reference trajectory: every stage as a dense N x N operator product."""
+    half_turn = math.pi / 2.0
+    psi = coherent_state(alpha0, N).amplitudes
+    if t_emit is None:
+        psi = lossy_kerr_propagator(half_turn, lp, N).entries @ psi
+    else:
+        theta = lp.lambda_kerr * t_emit
+        psi = lossy_kerr_propagator(theta, lp, N).entries @ psi
+        psi = ladder_ops(N)[0].entries @ psi
+        psi = lossy_kerr_propagator(half_turn - theta, lp, N).entries @ psi
+    transfer = force_kick(-delta_prime, N).entries @ np.diag(lp.xi ** np.arange(N))
+    psi = lossy_kerr_propagator(half_turn, lp, N).entries @ (transfer @ psi)
+    return psi / np.linalg.norm(psi)
+
+
 def peak_location(psi: FockVector, side: int) -> float:
     dist = quadrature_distribution(psi)
     x, p = dist.density[:, 0], dist.density[:, 1]
@@ -359,6 +375,19 @@ class TestSingleEmissionState:
         total = p0 + p1
         assert total < 1.0 + 1e-12
         assert abs(total - 1.0) < 0.01
+
+
+class TestTrajectoryMatchesDense:
+    @pytest.mark.parametrize("alpha0, N", [(0.8, 16), (1.5 + 0.3j, 24), (2.0, 38)])
+    @pytest.mark.parametrize("emit_frac", [None, 0.0, 0.35, 1.0])
+    def test_amplitudes(self, alpha0, N, emit_frac):
+        for xi in (1.0, 0.9, 0.6):
+            lp = params_for(xi, 0.05)
+            t_emit = None if emit_frac is None else emit_frac * lp.tau_kerr
+            for delta_prime in (0.0, 0.2, -0.3):
+                got = run_lossy_trajectory(alpha0, delta_prime, lp, t_emit=t_emit, N=N).amplitudes
+                want = dense_trajectory(alpha0, delta_prime, lp, t_emit, N)
+                assert np.max(np.abs(got - want)) < 1e-12
 
 
 class TestTrajectoryPeaks:

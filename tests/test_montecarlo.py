@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from _support import params_for, reference_params
+from kerrcat import montecarlo
 from kerrcat.loss import KickStats, momentum_kick_stats
 from kerrcat.montecarlo import (
     SWEEP_AXES,
@@ -264,6 +265,37 @@ class TestRunExperiment:
         assert 0 <= est.m_counts <= 400
         assert est.sigma_S == pytest.approx(1.0 / math.sqrt(1600.0), abs=1e-15)
         assert est.S == pytest.approx(est.m_counts / 400.0 - 0.5, abs=1e-15)
+
+
+class TestEngineCalls:
+    """``run_experiment`` evaluates ``p1`` only as often as the kicks differ."""
+
+    @staticmethod
+    def _spy(monkeypatch) -> list[int]:
+        sizes: list[int] = []
+
+        def spy(delta_prime, config):
+            sizes.append(np.size(delta_prime))
+            return outcome_probability(delta_prime, config)
+
+        monkeypatch.setattr(montecarlo, "outcome_probability", spy)
+        return sizes
+
+    def test_constant_kick_evaluates_p1_once(self, monkeypatch):
+        sizes = self._spy(monkeypatch)
+        run_experiment(ideal_config(shots=200_000, seed=3))
+        assert sizes == [1]
+
+    def test_constant_kick_brute_force_evaluates_p1_once(self, monkeypatch):
+        sizes = self._spy(monkeypatch)
+        run_experiment(ideal_config(shots=2_000, engine="brute-force"))
+        assert sizes == [1]
+
+    def test_thermal_kicks_evaluate_every_chunk(self, monkeypatch):
+        sizes = self._spy(monkeypatch)
+        chunk = montecarlo._CHUNK_SHOTS
+        run_experiment(lossy_config(loss=reference_params(temp=0.05), shots=2 * chunk + 5, seed=3))
+        assert sizes == [chunk, chunk, 5]
 
 
 class TestBoundedMemory:
