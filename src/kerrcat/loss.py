@@ -47,7 +47,6 @@ from kerrcat.fock import (
     coherent_state,
     default_truncation,
     force_kick,
-    kerr_unitary,
     ladder_ops,
     mean_quadrature,
     require_finite,
@@ -317,6 +316,13 @@ def two_mode_conditional_mean(alpha: float, delta_prime: float, lp: LossParams, 
     return mean_quadrature(FockVector(cond / np.linalg.norm(cond), N))
 
 
+def _no_emission_diagonal(theta: float, lp: LossParams, N: int) -> np.ndarray:
+    """Diagonal of ``lossy_kerr_propagator(theta)``: Kerr phases times decay."""
+    t = theta / lp.lambda_kerr
+    levels = np.arange(N)
+    return np.exp(-1j * theta * levels.astype(float) ** 2) * np.exp(-lp.kappa * t * levels / 2.0)
+
+
 def lossy_kerr_propagator(theta: float, lp: LossParams, N: int) -> FockOperator:
     """No-emission Kerr propagator ``W(theta) = U(theta) * exp(-kappa*t*n/2)``.
 
@@ -325,12 +331,8 @@ def lossy_kerr_propagator(theta: float, lp: LossParams, N: int) -> FockOperator:
     squared norm of ``W|psi>`` is the probability that no photon was emitted
     during the stage.
     """
-    t = theta / lp.lambda_kerr
-    levels = np.arange(N)
-    decay = np.exp(-lp.kappa * t * levels / 2.0)
-    entries = kerr_unitary(theta, N).entries * decay[np.newaxis, :]
-    kind = "unitary" if lp.kappa * t == 0.0 else "contraction"
-    return FockOperator(entries, N, kind)
+    kind = "unitary" if lp.kappa * (theta / lp.lambda_kerr) == 0.0 else "contraction"
+    return FockOperator(np.diag(_no_emission_diagonal(theta, lp, N)), N, kind)
 
 
 def single_emission_state(
@@ -363,13 +365,6 @@ def single_emission_state(
     if weight <= 0.0:
         raise ValueError("emission from this state has zero probability (vacuum input)")
     return psi.normalized(), weight
-
-
-def _no_emission_diagonal(theta: float, lp: LossParams, N: int) -> np.ndarray:
-    """Diagonal of ``lossy_kerr_propagator(theta)``: Kerr phases times decay."""
-    t = theta / lp.lambda_kerr
-    levels = np.arange(N)
-    return np.exp(-1j * theta * levels.astype(float) ** 2) * np.exp(-lp.kappa * t * levels / 2.0)
 
 
 def run_lossy_trajectory(

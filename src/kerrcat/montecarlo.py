@@ -313,7 +313,7 @@ def run_experiment(config: ExperimentConfig) -> SignalEstimate:
     out_rng = _stream(config.seed, _OUTCOME_STREAM)
     constant_kick = stats.variance == 0.0
     if constant_kick:
-        p1 = np.asarray(outcome_probability(np.array([stats.mean]), config))[0]
+        p1 = outcome_probability(np.array([stats.mean]), config)[0]
     m_counts = 0
     for start in range(0, m_total, _CHUNK_SHOTS):
         size = min(_CHUNK_SHOTS, m_total - start)
