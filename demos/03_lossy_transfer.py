@@ -13,25 +13,18 @@ import math
 import numpy as np
 
 from kerrcat import (
-    LossParams,
     OverdampedTransferError,
     emission_probability,
     lossy_offset,
     mean_X_lossy,
     quadrature_distribution,
+    reference_loss_params,
     run_lossy_trajectory,
     swap_parameters,
 )
 
 TWO_PI = 2.0 * math.pi
-lp = LossParams(
-    kappa=TWO_PI * 100e3,
-    gamma=TWO_PI * 10.0,
-    g=TWO_PI * 500e3,
-    omega_m=TWO_PI * 10e6,
-    lambda_kerr=TWO_PI * 7e6,
-    temp=0.0,
-)
+lp = reference_loss_params()
 ALPHA = 1.5
 
 print("=" * 72)

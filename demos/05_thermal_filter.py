@@ -17,6 +17,7 @@ from kerrcat import (
     LossParams,
     ProtocolParams,
     momentum_kick_stats,
+    reference_loss_params,
     run_experiment,
     thermal_occupation,
 )
@@ -52,10 +53,7 @@ print()
 print("=" * 72)
 print("Kick noise grows with 2*n_bar + 1")
 print("=" * 72)
-lp_cold = LossParams(
-    kappa=TWO_PI * 100e3, gamma=TWO_PI * 10.0, g=TWO_PI * 500e3,
-    omega_m=TWO_PI * 10e6, lambda_kerr=TWO_PI * 7e6, temp=0.0,
-)
+lp_cold = reference_loss_params()
 lp_warm = dataclasses.replace(lp_cold, temp=0.0242)
 cold = momentum_kick_stats(lambda t: 0.0, lp_cold)
 warm = momentum_kick_stats(lambda t: 0.0, lp_warm)

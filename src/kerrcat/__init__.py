@@ -1,6 +1,6 @@
 """Desk-scale simulator for cat-state force measurement with Kerr nonlinearities.
 
-The package is organized in five layers:
+The package is organized in six layers:
 
 - :mod:`kerrcat.fock` — truncated-Fock-space linear algebra: states, ladder
   operators, Kerr and displacement propagators, quadrature statistics.
@@ -12,8 +12,10 @@ The package is organized in five layers:
 - :mod:`kerrcat.montecarlo` — shot-level simulation: thermal kick sampling,
   outcome probabilities (analytic or brute-force engines), experiments,
   and parameter sweeps.
-- :mod:`kerrcat.cli` — the ``kerrcat`` command: scenario files, validation
-  suites, sweeps, and table output.
+- :mod:`kerrcat.validation` — the analytic-vs-numeric check suite: each
+  closed form against the number-basis brute force, with its tolerance.
+- :mod:`kerrcat.cli` — the ``kerrcat`` command, I/O only: scenario files,
+  command-line overrides, exit codes, and table output.
 """
 
 from kerrcat.fock import (
@@ -55,6 +57,7 @@ from kerrcat.loss import (
     mean_X_lossy,
     mean_X_lossy_linearized,
     momentum_kick_stats,
+    reference_loss_params,
     run_lossy_trajectory,
     single_emission_state,
     swap_parameters,
@@ -109,6 +112,7 @@ __all__ = [
     "mean_X_lossy",
     "mean_X_lossy_linearized",
     "momentum_kick_stats",
+    "reference_loss_params",
     "run_lossy_trajectory",
     "single_emission_state",
     "swap_parameters",

@@ -1,11 +1,12 @@
-"""Command-line interface: scenario files, validation suite, sweeps, tables.
+"""Command-line interface: scenario files, sweeps, tables.
 
-Scenario files are INI documents with sections ``[protocol]``, ``[loss]``,
-``[force]``, and ``[run]`` whose keys mirror the corresponding dataclass
-fields. Rates in ``[loss]`` are entered in Hz (ordinary frequency, the way
-instrument settings are quoted) and converted to angular rates exactly once
-at parse time. The presence of a ``[loss]`` section selects the lossy
-pipeline; ``[force]`` requires ``[loss]``.
+The module is I/O only. Scenario files are INI documents with sections
+``[protocol]``, ``[loss]``, ``[force]``, and ``[run]`` whose keys mirror the
+corresponding dataclass fields. Rates in ``[loss]`` are entered in Hz
+(ordinary frequency, the way instrument settings are quoted) and converted to
+angular rates exactly once at parse time. The presence of a ``[loss]``
+section selects the lossy pipeline; ``[force]`` requires ``[loss]``. The
+check suite behind ``validate`` lives in :mod:`kerrcat.validation`.
 
 The same Hz convention holds for ``sweep --values`` on the rate axes
 (``kappa``, ``gamma``, ``g``, ``lambda_kerr``): values are read as Hz and
@@ -18,38 +19,24 @@ Exit codes: 0 success, 1 validation failure, 2 usage or parse error,
 from __future__ import annotations
 
 import configparser
+import contextlib
 import csv
 import dataclasses
 import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import click
 import numpy as np
 from scipy.constants import hbar, k as k_boltzmann
 
-from kerrcat.fock import (
-    FockVector,
-    coherent_state,
-    default_truncation,
-    fidelity,
-    force_kick,
-    kerr_unitary,
-    mean_quadrature,
-    quadrature_distribution,
-)
 from kerrcat.loss import (
     LossParams,
     OverdampedTransferError,
     emission_probability,
-    lossy_kerr_propagator,
-    mean_X_lossy,
-    momentum_kick_stats,
-    run_lossy_trajectory,
+    reference_loss_params,
     thermal_occupation,
-    two_mode_conditional_mean,
 )
 from kerrcat.montecarlo import (
     SWEEP_AXES,
@@ -59,13 +46,8 @@ from kerrcat.montecarlo import (
     run_experiment,
     sweep as run_sweep,
 )
-from kerrcat.protocol import (
-    ProtocolParams,
-    branch_phase_shift,
-    cat_state,
-    mean_X_ideal,
-    run_ideal,
-)
+from kerrcat.protocol import ProtocolParams
+from kerrcat.validation import validation_rows
 
 __all__ = ["main", "parse_scenario", "serialize_scenario", "ScenarioError"]
 
@@ -81,7 +63,6 @@ _SECTION_KEYS = {
     "force": {"shape", "amplitude", "phase", "samples"},
     "run": {"shots", "seed", "engine"},
 }
-_HZ_KEYS = {"kappa", "gamma", "g", "omega_m", "lambda_kerr"}
 
 
 class ScenarioError(ValueError):
@@ -299,186 +280,25 @@ def default_config() -> ExperimentConfig:
     )
 
 
-def reference_loss_params() -> LossParams:
-    """Typical demonstrated hardware rates used by the params table."""
-    return LossParams(
-        kappa=TWO_PI * 100e3,
-        gamma=TWO_PI * 10.0,
-        g=TWO_PI * 500e3,
-        omega_m=TWO_PI * 10e6,
-        lambda_kerr=TWO_PI * 7e6,
-        temp=0.0,
-    )
+def _scenario(config_path: str | None, **overrides) -> ExperimentConfig:
+    """The scenario file (or ``default_config()``) with the non-None overrides applied."""
+    config = default_config() if config_path is None else load_scenario(config_path)
+    for name, value in overrides.items():
+        if value is not None:
+            config = dataclasses.replace(config, **{name: value})
+    return config
 
 
-# ---------------------------------------------------------------------------
-# Validation suite
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CheckRow:
-    name: str
-    analytic: float
-    numeric: float
-    tolerance: float
-
-    @property
-    def diff(self) -> float:
-        return abs(self.analytic - self.numeric)
-
-    @property
-    def passed(self) -> bool:
-        return self.diff <= self.tolerance
-
-
-def _ideal_rows(config: ExperimentConfig) -> list[CheckRow]:
-    rows = []
-    alphas = [1.0, 1.5, 2.0, 2.5]
-    cfg_alpha = config.protocol.alpha
-    if 0.5 <= cfg_alpha <= 3.0 and cfg_alpha not in alphas:
-        alphas.append(cfg_alpha)
-    for alpha in alphas:
-        for delta in (-0.1, -0.03, 0.0, 0.03, 0.1):
-            numeric = mean_quadrature(run_ideal(ProtocolParams(alpha0=alpha, delta=delta)))
-            rows.append(
-                CheckRow(
-                    name=f"mean_X alpha={alpha:g} delta={delta:g}",
-                    analytic=mean_X_ideal(alpha, delta),
-                    numeric=numeric,
-                    tolerance=1e-6,
-                )
-            )
-    N = default_truncation(2.0)
-    evolved = kerr_unitary(math.pi / 2.0, N) @ coherent_state(2.0, N)
-    rows.append(
-        CheckRow(
-            name="cat_fidelity alpha=2",
-            analytic=1.0,
-            numeric=fidelity(evolved, cat_state(2.0, N)),
-            tolerance=1e-9,
-        )
-    )
-    rows.append(
-        CheckRow(
-            name="branch_phase alpha=2 delta=0.05",
-            analytic=0.2,
-            numeric=branch_phase_shift(2.0, 0.05),
-            tolerance=1e-9,
-        )
-    )
-    N1 = default_truncation(1.0)
-    kicked = force_kick(0.3, N1) @ coherent_state(1.0, N1)
-    closed = FockVector(
-        coherent_state(1.0 - 0.3j, N1).amplitudes * complex(math.cos(0.3), -math.sin(0.3)), N1
-    )
-    rows.append(
-        CheckRow(
-            name="kick_action alpha=1 delta=0.3",
-            analytic=0.0,
-            numeric=float(np.max(np.abs(kicked.amplitudes - closed.amplitudes))),
-            tolerance=1e-9,
-        )
-    )
-    psi = run_ideal(ProtocolParams(alpha0=2.0, delta=0.05))
-    rows.append(
-        CheckRow(
-            name="quadrature_consistency alpha=2 delta=0.05",
-            analytic=mean_quadrature(psi),
-            numeric=quadrature_distribution(psi).mean_X,
-            tolerance=1e-6,
-        )
-    )
-    return rows
-
-
-def _lossy_rows(config: ExperimentConfig) -> list[CheckRow]:
-    lp = config.loss
-    rows = []
-    alpha = min(max(config.protocol.alpha, 0.5), 1.5)
-    for delta_prime in (0.0, 0.02):
-        rows.append(
-            CheckRow(
-                name=f"lossy_mean alpha={alpha:g} delta'={delta_prime:g}",
-                analytic=mean_X_lossy(alpha, delta_prime, lp),
-                numeric=two_mode_conditional_mean(alpha, delta_prime, lp),
-                tolerance=1e-10,
-            )
-        )
-    target = lp.xi * lp.eta**2 * alpha
-    dist = quadrature_distribution(run_lossy_trajectory(alpha, 0.0, lp))
-    x, density = dist.density[:, 0], dist.density[:, 1]
-    mask = x < -0.2
-    peak = abs(float(x[mask][np.argmax(density[mask])]))
-    rows.append(
-        CheckRow(
-            name=f"peak_contraction alpha={alpha:g}",
-            analytic=target,
-            numeric=peak,
-            tolerance=0.02 * target,
-        )
-    )
-    rows.append(
-        CheckRow(
-            name=f"emission_consistency alpha={alpha:g}",
-            analytic=emission_probability(alpha, lp),
-            numeric=2.0 * lp.kappa * lp.tau_kerr * alpha * alpha,
-            tolerance=1e-12,
-        )
-    )
-    omega, nu, t = lp.omega_m, lp.nu, lp.T_swap
-    cross = t if omega == nu else math.sin(2.0 * (omega - nu) * t) / (2.0 * (omega - nu))
-    closed_var = (2.0 * lp.n_bar + 1.0) * (
-        t / 4.0
-        + math.sin(2.0 * omega * t) / (8.0 * omega)
-        - (math.sin(2.0 * (omega + nu) * t) / (2.0 * (omega + nu)) + cross) / 8.0
-    )
-    rows.append(
-        CheckRow(
-            name="kick_variance zero_force",
-            analytic=closed_var,
-            numeric=momentum_kick_stats(lambda s: 0.0, lp).variance,
-            tolerance=max(1e-6 * closed_var, 1e-20),
-        )
-    )
-    N = default_truncation(alpha)
-    p0 = (lossy_kerr_propagator(math.pi / 2.0, lp, N) @ coherent_state(alpha, N)).norm ** 2
-    kt = lp.kappa * lp.tau_kerr
-    rows.append(
-        CheckRow(
-            name=f"no_emission_prob alpha={alpha:g}",
-            analytic=math.exp(-alpha * alpha * (1.0 - math.exp(-kt))),
-            numeric=p0,
-            tolerance=1e-9,
-        )
-    )
-    return rows
-
-
-def validation_rows(config: ExperimentConfig, tolerance: float | None = None) -> list[CheckRow]:
-    """The analytic-vs-numeric check suite for a scenario."""
-    rows = _ideal_rows(config)
-    if config.loss is not None:
-        rows.extend(_lossy_rows(config))
-    if tolerance is not None:
-        rows = [dataclasses.replace(row, tolerance=tolerance) for row in rows]
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Commands
-# ---------------------------------------------------------------------------
-
-
-def _load_or_default(config_path: str | None) -> ExperimentConfig:
-    if config_path is None:
-        return default_config()
-    return load_scenario(config_path)
-
-
-def _fail_physical(exc: Exception) -> None:
-    click.echo(f"physical precondition failed: {exc}", err=True)
-    sys.exit(3)
+@contextlib.contextmanager
+def _exit_codes():
+    """Map library errors to exit codes: 3 for a physical precondition, 2 for bad input."""
+    try:
+        yield
+    except OverdampedTransferError as exc:
+        click.echo(f"physical precondition failed: {exc}", err=True)
+        sys.exit(3)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
 
 
 @click.group()
@@ -489,28 +309,21 @@ def main() -> None:
 @main.command()
 @click.option("--config", "config_path", type=click.Path(), default=None, help="Scenario INI file.")
 @click.option("--tolerance", type=float, default=None, help="Override every row tolerance.")
+@_exit_codes()
 def validate(config_path: str | None, tolerance: float | None) -> None:
     """Run the analytic-vs-numeric validation suite; exit 1 on any failure."""
-    try:
-        config = _load_or_default(config_path)
-        rows = validation_rows(config, tolerance)
-    except OverdampedTransferError as exc:
-        _fail_physical(exc)
-    except ScenarioError as exc:
-        raise click.UsageError(str(exc))
+    rows = validation_rows(_scenario(config_path), tolerance)
     header = f"{'check':<38} {'analytic':>24} {'numeric':>24} {'|diff|':>12} {'tol':>10} {'status':>6}"
     click.echo(header)
     click.echo("-" * len(header))
-    failures = 0
     for row in rows:
-        status = "PASS" if row.passed else "FAIL"
-        failures += 0 if row.passed else 1
         click.echo(
             f"{row.name:<38} {row.analytic:>24.17g} {row.numeric:>24.17g}"
-            f" {row.diff:>12.3g} {row.tolerance:>10.3g} {status:>6}"
+            f" {row.diff:>12.3g} {row.tolerance:>10.3g} {'PASS' if row.passed else 'FAIL':>6}"
         )
-    click.echo(f"{len(rows) - failures}/{len(rows)} checks passed")
-    if failures:
+    passed = sum(row.passed for row in rows)
+    click.echo(f"{passed}/{len(rows)} checks passed")
+    if passed < len(rows):
         sys.exit(1)
 
 
@@ -527,31 +340,16 @@ def validate(config_path: str | None, tolerance: float | None) -> None:
 @click.option("--seed", type=int, default=None, help="Override the master seed.")
 @click.option("--shots", type=int, default=None, help="Override shots per cell.")
 @click.option("--engine", type=click.Choice(["analytic", "brute-force"]), default=None)
+@_exit_codes()
 def sweep_cmd(config_path, axis, values, out_path, fmt, seed, shots, engine) -> None:
     """Sweep one parameter and write a plot-ready table (CSV or JSON)."""
-    try:
-        base = _load_or_default(config_path)
-        if seed is not None:
-            base = dataclasses.replace(base, seed=seed)
-        if shots is not None:
-            base = dataclasses.replace(base, shots=shots)
-        if engine is not None:
-            base = dataclasses.replace(base, engine=engine)
-        parsed_values = [float(v) for v in values.split(",") if v.strip()]
-        if not parsed_values:
-            raise click.UsageError("sweep needs at least one value")
-        # Rate axes are quoted in Hz at the CLI, like the INI [loss] keys.
-        if axis in _RATE_AXES:
-            library_values = [TWO_PI * v for v in parsed_values]
-        else:
-            library_values = parsed_values
-        rows = run_sweep(axis, library_values, base)
-    except OverdampedTransferError as exc:
-        _fail_physical(exc)
-    except ScenarioError as exc:
-        raise click.UsageError(str(exc))
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    base = _scenario(config_path, seed=seed, shots=shots, engine=engine)
+    parsed_values = [float(v) for v in values.split(",") if v.strip()]
+    if not parsed_values:
+        raise click.UsageError("sweep needs at least one value")
+    # Rate axes are quoted in Hz at the CLI, like the INI [loss] keys.
+    scale = TWO_PI if axis in _RATE_AXES else 1.0
+    rows = run_sweep(axis, [scale * v for v in parsed_values], base)
 
     columns = ["axis_value", "m_counts", "M", "S", "sigma_S", "S_analytic", "P_emission", "seed"]
     records = [
@@ -569,25 +367,14 @@ def sweep_cmd(config_path, axis, values, out_path, fmt, seed, shots, engine) -> 
         for user_value, row in zip(parsed_values, rows)
     ]
     try:
-        if fmt == "csv":
-            with open(out_path, "w", newline="", encoding="utf-8") as fh:
+        with open(out_path, "w", newline="", encoding="utf-8") as fh:
+            if fmt == "csv":
                 writer = csv.writer(fh)
                 writer.writerow(columns)
                 for rec in records:
-                    writer.writerow(
-                        [
-                            "%.17g" % rec["axis_value"],
-                            rec["m_counts"],
-                            rec["M"],
-                            "%.17g" % rec["S"],
-                            "%.17g" % rec["sigma_S"],
-                            "%.17g" % rec["S_analytic"],
-                            "%.17g" % rec["P_emission"],
-                            rec["seed"],
-                        ]
-                    )
-        else:
-            with open(out_path, "w", encoding="utf-8") as fh:
+                    cells = [rec[name] for name in columns]
+                    writer.writerow(["%.17g" % v if isinstance(v, float) else v for v in cells])
+            else:
                 json.dump({"columns": columns, "rows": records}, fh, indent=2)
                 fh.write("\n")
     except OSError as exc:
@@ -600,24 +387,12 @@ def sweep_cmd(config_path, axis, values, out_path, fmt, seed, shots, engine) -> 
 @click.option("--seed", type=int, default=None, help="Override the master seed.")
 @click.option("--shots", type=int, default=None, help="Override the shot count.")
 @click.option("--engine", type=click.Choice(["analytic", "brute-force"]), default=None)
+@_exit_codes()
 def shots(config_path, seed, shots, engine) -> None:
     """Run one shot-level experiment and print the signal estimate."""
-    try:
-        config = _load_or_default(config_path)
-        if seed is not None:
-            config = dataclasses.replace(config, seed=seed)
-        if shots is not None:
-            config = dataclasses.replace(config, shots=shots)
-        if engine is not None:
-            config = dataclasses.replace(config, engine=engine)
-        estimate = run_experiment(config)
-        s_analytic, p_emit = predicted_signal(config)
-    except OverdampedTransferError as exc:
-        _fail_physical(exc)
-    except ScenarioError as exc:
-        raise click.UsageError(str(exc))
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    config = _scenario(config_path, seed=seed, shots=shots, engine=engine)
+    estimate = run_experiment(config)
+    s_analytic, p_emit = predicted_signal(config)
     click.echo(f"m_counts    = {estimate.m_counts}")
     click.echo(f"M           = {estimate.M}")
     click.echo(f"S           = {estimate.S:.17g}")

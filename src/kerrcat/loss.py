@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.constants import hbar, k as k_boltzmann
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
 
 from kerrcat._coherent import lossy_pipeline, mean_x
 from kerrcat.fock import (
@@ -56,6 +56,7 @@ __all__ = [
     "LossParams",
     "KickStats",
     "OverdampedTransferError",
+    "reference_loss_params",
     "swap_parameters",
     "thermal_occupation",
     "momentum_kick_stats",
@@ -186,6 +187,22 @@ class LossParams:
         object.__setattr__(self, "n_bar", thermal_occupation(self.omega_m, self.temp))
 
 
+def reference_loss_params() -> LossParams:
+    """The demonstrated hardware rates, at zero temperature.
+
+    ``kappa/2pi = 100 kHz``, ``gamma/2pi = 10 Hz``, ``g/2pi = 500 kHz``,
+    ``omega_m/2pi = 10 MHz`` and ``lambda_kerr/2pi = 7 MHz``.
+    """
+    two_pi = 2.0 * math.pi
+    return LossParams(
+        kappa=two_pi * 100e3,
+        gamma=two_pi * 10.0,
+        g=two_pi * 500e3,
+        omega_m=two_pi * 10e6,
+        lambda_kerr=two_pi * 7e6,
+    )
+
+
 @dataclass(frozen=True)
 class KickStats:
     """Gaussian model of the momentum kick accumulated during one swap.
@@ -210,13 +227,16 @@ class KickStats:
 
 
 def _quad_strict(integrand: Callable[[float], float], a: float, b: float) -> float:
-    """Adaptive quadrature that raises instead of silently degrading."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            value, _ = quad(integrand, a, b, limit=800, epsabs=1e-14, epsrel=1e-11)
-        except IntegrationWarning as exc:
-            raise RuntimeError(f"kick quadrature did not converge: {exc}") from exc
+    """Adaptive quadrature that raises instead of silently degrading.
+
+    With ``full_output`` ``quad`` returns its failure message instead of
+    warning it. Turning the warning into an error would need a
+    ``catch_warnings`` block, and leaving one resets the warning registry, so
+    every warning already shown once would be shown again.
+    """
+    value, _, _, *message = quad(integrand, a, b, full_output=1, limit=800, epsabs=1e-14, epsrel=1e-11)
+    if message:
+        raise RuntimeError(f"kick quadrature did not converge: {message[0]}")
     return value
 
 

@@ -1,0 +1,190 @@
+"""The analytic-vs-numeric check suite behind ``kerrcat validate``.
+
+Each row pairs a closed form from :mod:`kerrcat.protocol` or
+:mod:`kerrcat.loss` with the same quantity computed by the number-basis
+(Fock) brute force, together with the tolerance the pair is expected to meet.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from kerrcat.fock import (
+    FockVector,
+    coherent_state,
+    default_truncation,
+    fidelity,
+    force_kick,
+    kerr_unitary,
+    mean_quadrature,
+    quadrature_distribution,
+)
+from kerrcat.loss import (
+    emission_probability,
+    lossy_kerr_propagator,
+    mean_X_lossy,
+    momentum_kick_stats,
+    run_lossy_trajectory,
+    two_mode_conditional_mean,
+)
+from kerrcat.montecarlo import ExperimentConfig
+from kerrcat.protocol import ProtocolParams, branch_phase_shift, cat_state, mean_X_ideal, run_ideal
+
+__all__ = ["CheckRow", "validation_rows"]
+
+
+@dataclass(frozen=True)
+class CheckRow:
+    name: str
+    analytic: float
+    numeric: float
+    tolerance: float
+
+    @property
+    def diff(self) -> float:
+        return abs(self.analytic - self.numeric)
+
+    @property
+    def passed(self) -> bool:
+        return self.diff <= self.tolerance
+
+
+def _ideal_rows(config: ExperimentConfig) -> list[CheckRow]:
+    rows = []
+    alphas = [1.0, 1.5, 2.0, 2.5]
+    cfg_alpha = config.protocol.alpha
+    if 0.5 <= cfg_alpha <= 3.0 and cfg_alpha not in alphas:
+        alphas.append(cfg_alpha)
+    for alpha in alphas:
+        for delta in (-0.1, -0.03, 0.0, 0.03, 0.1):
+            numeric = mean_quadrature(run_ideal(ProtocolParams(alpha0=alpha, delta=delta)))
+            rows.append(
+                CheckRow(
+                    name=f"mean_X alpha={alpha:g} delta={delta:g}",
+                    analytic=mean_X_ideal(alpha, delta),
+                    numeric=numeric,
+                    tolerance=1e-6,
+                )
+            )
+    N = default_truncation(2.0)
+    evolved = kerr_unitary(math.pi / 2.0, N) @ coherent_state(2.0, N)
+    rows.append(
+        CheckRow(
+            name="cat_fidelity alpha=2",
+            analytic=1.0,
+            numeric=fidelity(evolved, cat_state(2.0, N)),
+            tolerance=1e-9,
+        )
+    )
+    rows.append(
+        CheckRow(
+            name="branch_phase alpha=2 delta=0.05",
+            analytic=0.2,
+            numeric=branch_phase_shift(2.0, 0.05),
+            tolerance=1e-9,
+        )
+    )
+    N1 = default_truncation(1.0)
+    kicked = force_kick(0.3, N1) @ coherent_state(1.0, N1)
+    closed = FockVector(
+        coherent_state(1.0 - 0.3j, N1).amplitudes * complex(math.cos(0.3), -math.sin(0.3)), N1
+    )
+    rows.append(
+        CheckRow(
+            name="kick_action alpha=1 delta=0.3",
+            analytic=0.0,
+            numeric=float(np.max(np.abs(kicked.amplitudes - closed.amplitudes))),
+            tolerance=1e-9,
+        )
+    )
+    psi = run_ideal(ProtocolParams(alpha0=2.0, delta=0.05))
+    rows.append(
+        CheckRow(
+            name="quadrature_consistency alpha=2 delta=0.05",
+            analytic=mean_quadrature(psi),
+            numeric=quadrature_distribution(psi).mean_X,
+            tolerance=1e-6,
+        )
+    )
+    return rows
+
+
+def _lossy_rows(config: ExperimentConfig) -> list[CheckRow]:
+    lp = config.loss
+    rows = []
+    alpha = min(max(config.protocol.alpha, 0.5), 1.5)
+    for delta_prime in (0.0, 0.02):
+        rows.append(
+            CheckRow(
+                name=f"lossy_mean alpha={alpha:g} delta'={delta_prime:g}",
+                analytic=mean_X_lossy(alpha, delta_prime, lp),
+                numeric=two_mode_conditional_mean(alpha, delta_prime, lp),
+                tolerance=1e-10,
+            )
+        )
+    target = lp.xi * lp.eta**2 * alpha
+    dist = quadrature_distribution(run_lossy_trajectory(alpha, 0.0, lp))
+    x, density = dist.density[:, 0], dist.density[:, 1]
+    mask = x < -0.2
+    peak = abs(float(x[mask][np.argmax(density[mask])]))
+    rows.append(
+        CheckRow(
+            name=f"peak_contraction alpha={alpha:g}",
+            analytic=target,
+            numeric=peak,
+            tolerance=0.02 * target,
+        )
+    )
+    rows.append(
+        CheckRow(
+            name=f"emission_consistency alpha={alpha:g}",
+            analytic=emission_probability(alpha, lp),
+            numeric=2.0 * lp.kappa * lp.tau_kerr * alpha * alpha,
+            tolerance=1e-12,
+        )
+    )
+    omega, nu, t = lp.omega_m, lp.nu, lp.T_swap
+    cross = t if omega == nu else math.sin(2.0 * (omega - nu) * t) / (2.0 * (omega - nu))
+    closed_var = (2.0 * lp.n_bar + 1.0) * (
+        t / 4.0
+        + math.sin(2.0 * omega * t) / (8.0 * omega)
+        - (math.sin(2.0 * (omega + nu) * t) / (2.0 * (omega + nu)) + cross) / 8.0
+    )
+    rows.append(
+        CheckRow(
+            name="kick_variance zero_force",
+            analytic=closed_var,
+            numeric=momentum_kick_stats(lambda s: 0.0, lp).variance,
+            tolerance=max(1e-6 * closed_var, 1e-20),
+        )
+    )
+    N = default_truncation(alpha)
+    p0 = (lossy_kerr_propagator(math.pi / 2.0, lp, N) @ coherent_state(alpha, N)).norm ** 2
+    kt = lp.kappa * lp.tau_kerr
+    rows.append(
+        CheckRow(
+            name=f"no_emission_prob alpha={alpha:g}",
+            analytic=math.exp(-alpha * alpha * (1.0 - math.exp(-kt))),
+            numeric=p0,
+            tolerance=1e-9,
+        )
+    )
+    return rows
+
+
+def validation_rows(config: ExperimentConfig, tolerance: float | None = None) -> list[CheckRow]:
+    """The analytic-vs-numeric check suite for a scenario.
+
+    The ideal rows always run; a scenario with a loss model adds the lossy
+    rows. ``tolerance`` replaces every row's own tolerance.
+    """
+    rows = _ideal_rows(config)
+    if config.loss is not None:
+        rows.extend(_lossy_rows(config))
+    if tolerance is not None:
+        rows = [dataclasses.replace(row, tolerance=tolerance) for row in rows]
+    return rows

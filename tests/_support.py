@@ -2,23 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
-from kerrcat.loss import LossParams
+from kerrcat.loss import LossParams, reference_loss_params
 
 TWO_PI = 2.0 * math.pi
 
 
 def reference_params(temp: float = 0.0) -> LossParams:
     """Loss parameters at the demonstrated hardware rates."""
-    return LossParams(
-        kappa=TWO_PI * 100e3,
-        gamma=TWO_PI * 10.0,
-        g=TWO_PI * 500e3,
-        omega_m=TWO_PI * 10e6,
-        lambda_kerr=TWO_PI * 7e6,
-        temp=temp,
-    )
+    return dataclasses.replace(reference_loss_params(), temp=temp)
 
 
 def no_loss_params() -> LossParams:

@@ -4,22 +4,17 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import pytest
 from click.testing import CliRunner
 
 from _support import TWO_PI
-from kerrcat.cli import (
-    ScenarioError,
-    default_config,
-    main,
-    parse_scenario,
-    reference_loss_params,
-    serialize_scenario,
-    validation_rows,
-)
+from kerrcat.cli import ScenarioError, default_config, main, parse_scenario, serialize_scenario
+from kerrcat.loss import reference_loss_params
 from kerrcat.montecarlo import ExperimentConfig, ForceSpec
 from kerrcat.protocol import ProtocolParams
+from kerrcat.validation import validation_rows
 
 IDEAL_SCENARIO = """\
 [protocol]
@@ -219,6 +214,17 @@ class TestCommands:
         assert result.exit_code == 3
         assert "physical precondition" in result.output
 
+    def test_validate_value_error_exits_two(self, monkeypatch):
+        # validate shares the other commands' exit-code mapping: a ValueError
+        # from the library is a usage error with its message, not a traceback.
+        def fail(config, tolerance):
+            raise ValueError("no such regime")
+
+        monkeypatch.setattr("kerrcat.cli.validation_rows", fail)
+        result = self.runner.invoke(main, ["validate"])
+        assert result.exit_code == 2
+        assert "no such regime" in result.output
+
     def test_unknown_key_exits_two(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[protocol]\nalpha0 = 1\nwhat = 2\n")
@@ -307,6 +313,21 @@ class TestCommands:
         assert row["P_emission"] == pytest.approx(
             emission_probability(1.5, params), rel=1e-12
         )
+
+    def test_sweep_cell_emission_warning_reported_once(self, tmp_path):
+        # kappa = 500 kHz puts the emission probability at ~0.505. The cell's
+        # run and its prediction both reach the same warning; under the
+        # "default" filter it must be shown once, not once per caller.
+        cfg = tmp_path / "lossy.ini"
+        cfg.write_text(LOSSY_SCENARIO)
+        args = ["sweep", "--config", str(cfg), "--axis", "kappa", "--values", "500e3"]
+        args += ["--out", str(tmp_path / "kappa.csv"), "--shots", "100"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            result = self.runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        emission = [w for w in caught if "emission probability exceeds 0.5" in str(w.message)]
+        assert len(emission) == 1
 
     def test_sweep_empty_values_exits_two(self, tmp_path):
         out = tmp_path / "never.csv"

@@ -4,8 +4,9 @@
 ``params_digest`` of ``run_experiment`` and the ``S_analytic`` and
 ``P_emission`` of ``predicted_signal``. Counts and digests must match bit
 for bit; ``S_analytic`` within 1e-12. A change that moves a pinned value has
-to justify it; the file is rewritten only on purpose, with
-``python tests/test_golden.py`` (run with ``src`` and ``tests`` importable).
+to justify it. ``python tests/test_golden.py`` (run with ``src`` and ``tests``
+importable) pins the scenarios that have no entry yet and leaves every
+existing entry as it is; to re-pin a scenario, delete its entry first.
 """
 
 from __future__ import annotations
@@ -104,6 +105,10 @@ def test_scenario_matches_golden(name):
 
 
 if __name__ == "__main__":
+    # Pin only the scenarios not pinned yet; an existing entry is never rewritten.
+    table = _pinned() if GOLDEN.exists() else {}
+    missing = sorted(set(SCENARIOS) - set(table))
+    table.update((name, _record(SCENARIOS[name]())) for name in missing)
     GOLDEN.parent.mkdir(exist_ok=True)
-    table = {name: _record(make()) for name, make in sorted(SCENARIOS.items())}
-    GOLDEN.write_text(json.dumps(table, indent=2) + "\n")
+    GOLDEN.write_text(json.dumps(dict(sorted(table.items())), indent=2) + "\n")
+    print(f"pinned {len(missing)} new scenario(s): {', '.join(missing) or 'none'}")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.constants import hbar, k as k_boltzmann
 
-from _support import TWO_PI, no_loss_params, reference_params
+from _support import TWO_PI, no_loss_params, params_for, reference_params
 from kerrcat.fock import (
     FockVector,
     coherent_state,
@@ -36,24 +36,6 @@ from kerrcat.loss import (
     two_mode_conditional_mean,
 )
 from kerrcat.loss import _beam_splitter
-
-
-def params_for(xi_target: float, kappa_tau: float, gamma_tau: float = 0.0) -> LossParams:
-    """Rates engineered so that xi and the per-stage losses take exact values.
-
-    Solves Gamma*T_swap = -ln(xi) exactly via Gamma = c*g/sqrt(pi^2 + c^2),
-    then picks lambda_kerr so that kappa*tau_kerr (and gamma*tau_kerr) hit the
-    requested values.
-    """
-    g = 1.0
-    if xi_target >= 1.0:
-        return LossParams(kappa=0.0, gamma=0.0, g=g, omega_m=1e6, lambda_kerr=1.0)
-    c = -math.log(xi_target)
-    big_gamma = c * g / math.sqrt(math.pi**2 + c**2)
-    kappa = 4.0 * big_gamma / (1.0 + gamma_tau / kappa_tau)
-    gamma = 4.0 * big_gamma - kappa
-    tau = kappa_tau / kappa
-    return LossParams(kappa=kappa, gamma=gamma, g=g, omega_m=1e6, lambda_kerr=math.pi / (2.0 * tau))
 
 
 def dense_loss_channel(lp: LossParams, delta_prime: float, N: int) -> np.ndarray:
@@ -238,6 +220,12 @@ class TestMomentumKickStats:
         with pytest.raises(ValueError):
             KickStats(mean=float("nan"), variance=1.0)
 
+    def test_non_converging_integral_raises(self):
+        # A force ~ 1/s^2 makes the mean integrand ~ nu/s near s = 0, whose
+        # integral diverges: quadrature must fail loudly, not return a number.
+        with pytest.raises(RuntimeError, match="did not converge"):
+            momentum_kick_stats(lambda s: 1.0 / s**2, reference_params())
+
 
 class TestLossChannel:
     def test_lossless_no_kick_is_identity(self):
@@ -381,8 +369,7 @@ class TestTrajectoryMatchesDense:
     @pytest.mark.parametrize("alpha0, N", [(0.8, 16), (1.5 + 0.3j, 24), (2.0, 38)])
     @pytest.mark.parametrize("emit_frac", [None, 0.0, 0.35, 1.0])
     def test_amplitudes(self, alpha0, N, emit_frac):
-        for xi in (1.0, 0.9, 0.6):
-            lp = params_for(xi, 0.05)
+        for lp in (no_loss_params(), params_for(0.9, 0.05), params_for(0.6, 0.05)):
             t_emit = None if emit_frac is None else emit_frac * lp.tau_kerr
             for delta_prime in (0.0, 0.2, -0.3):
                 got = run_lossy_trajectory(alpha0, delta_prime, lp, t_emit=t_emit, N=N).amplitudes
