@@ -13,7 +13,7 @@ import math
 from kerrcat import (
     PhysicalForce,
     ProtocolParams,
-    coin_signal,
+    SignalEstimate,
     force_to_delta,
     mean_X_ideal,
     mean_X_linearized,
@@ -64,7 +64,7 @@ print("=" * 72)
 print("Coin readout and the single-shot error budget")
 print("=" * 72)
 m, M = 5200, 10_000
-est = coin_signal(m, M)
+est = SignalEstimate(m_counts=m, M=M)
 print(f"counts m/M = {m}/{M}  ->  S = {est.S:+.4f} +/- {est.sigma_S:.4f}")
 impulse = PhysicalForce(F=1e-18, dt=1e-6, mass=1e-12, omega_m=2.0 * math.pi * 10e6)
 delta = force_to_delta(impulse)

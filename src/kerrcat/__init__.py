@@ -30,6 +30,7 @@ from kerrcat.fock import (
     kerr_unitary,
     ladder_ops,
     mean_quadrature,
+    prob_quadrature_positive,
     quadrature_distribution,
 )
 from kerrcat.protocol import (
@@ -38,7 +39,6 @@ from kerrcat.protocol import (
     SignalEstimate,
     branch_phase_shift,
     cat_state,
-    coin_signal,
     force_to_delta,
     mean_X_ideal,
     mean_X_linearized,
@@ -89,13 +89,13 @@ __all__ = [
     "kerr_unitary",
     "ladder_ops",
     "mean_quadrature",
+    "prob_quadrature_positive",
     "quadrature_distribution",
     "PhysicalForce",
     "ProtocolParams",
     "SignalEstimate",
     "branch_phase_shift",
     "cat_state",
-    "coin_signal",
     "force_to_delta",
     "mean_X_ideal",
     "mean_X_linearized",

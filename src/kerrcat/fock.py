@@ -29,7 +29,6 @@ import numpy as np
 
 __all__ = [
     "TruncationError",
-    "GridTooCoarseError",
     "FockVector",
     "FockOperator",
     "QuadratureResult",
@@ -40,6 +39,7 @@ __all__ = [
     "force_kick",
     "quadrature_distribution",
     "mean_quadrature",
+    "prob_quadrature_positive",
     "fidelity",
 ]
 
@@ -49,10 +49,6 @@ DEFAULT_TAIL_TOL = 1e-8
 
 class TruncationError(ValueError):
     """The truncated space is too small to hold the requested state."""
-
-
-class GridTooCoarseError(ValueError):
-    """The quadrature grid failed the density normalization check."""
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -184,7 +180,7 @@ class QuadratureResult:
     Attributes
     ----------
     mean_X : float
-        Mean of ``X = (a + a_dag)/2`` computed from the density.
+        Mean of ``X = (a + a_dag)/2``.
     prob_X_positive : float
         Probability of a strictly positive quadrature outcome.
     density : ndarray of shape (grid, 2)
@@ -312,88 +308,69 @@ def force_kick(delta: float, N: int) -> FockOperator:
     return FockOperator((evecs * phases) @ evecs.conj().T, N, "unitary")
 
 
-def _simpson_weights(size: int, step: float) -> np.ndarray:
-    """Composite Simpson weights for ``size`` (odd) equally spaced nodes."""
-    w = np.ones(size)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (step / 3.0)
-
-
 @lru_cache(maxsize=8)
-def _hermite_grid(N: int, grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Symmetric position grid, Hermite-function table, and Simpson weights.
+def _hermite_grid(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric position grid ``u`` and Hermite-function table ``phi``.
 
-    Returns ``(u, phi, w, w_half)`` where ``phi[n]`` samples the n-th
-    oscillator eigenfunction on ``u``, ``w`` are Simpson weights over the
-    whole grid and ``w_half`` over the half-axis ``u >= 0``. The stable
-    three-term recurrence avoids factorial overflow.
+    ``phi[n]`` samples the n-th oscillator eigenfunction on 4001 nodes
+    spanning ``|u| <= sqrt(2N) + 8``. The stable three-term recurrence
+    avoids factorial overflow.
     """
     u_max = math.sqrt(2.0 * N) + 8.0
-    u = np.linspace(-u_max, u_max, grid)
-    phi = np.zeros((N, grid))
+    u = np.linspace(-u_max, u_max, 4001)
+    phi = np.zeros((N, u.size))
     phi[0] = np.pi ** -0.25 * np.exp(-0.5 * u * u)
     if N > 1:
         phi[1] = math.sqrt(2.0) * u * phi[0]
     for k in range(2, N):
         phi[k] = math.sqrt(2.0 / k) * u * phi[k - 1] - math.sqrt((k - 1) / k) * phi[k - 2]
-    h = u[1] - u[0]
-    w = _simpson_weights(grid, h)
-    w_half = _simpson_weights(grid - grid // 2, h)
-    for arr in (u, phi, w, w_half):
-        arr.setflags(write=False)
-    return u, phi, w, w_half
+    u.setflags(write=False)
+    phi.setflags(write=False)
+    return u, phi
 
 
-def _round_up_grid(grid_size: int) -> int:
-    """Smallest 4k+1 grid size >= grid_size (Simpson-compatible halves)."""
-    grid = max(int(grid_size), 5)
-    rem = (grid - 1) % 4
-    if rem:
-        grid += 4 - rem
-    return grid
+@lru_cache(maxsize=32)
+def _half_line_overlaps(N: int) -> np.ndarray:
+    """Half-line overlaps ``I[m, n] = INT_0^inf psi_m psi_n du`` (cached per dimension).
+
+    ``I[n, n] = 1/2`` and ``I[m, n] = 0`` for other even ``m + n``. For odd
+    ``m + n`` the Hermite equation ``psi_n'' = (u^2 - 2n - 1) psi_n`` gives
+    ``I[m, n] = (psi_n(0) psi_m'(0) - psi_m(0) psi_n'(0)) / (2(m - n))``, with
+    ``psi_k(0) = -sqrt((k-1)/k) psi_{k-2}(0)`` and
+    ``psi_n'(0) = sqrt(n/2) psi_{n-1}(0) - sqrt((n+1)/2) psi_{n+1}(0)``.
+    """
+    at_zero = np.zeros(N + 1)
+    at_zero[0] = np.pi**-0.25
+    for k in range(2, N + 1, 2):
+        at_zero[k] = -math.sqrt((k - 1) / k) * at_zero[k - 2]
+    n = np.arange(N)
+    # At n = 0 the index n - 1 wraps to at_zero[N], whose weight sqrt(0/2) is zero.
+    slope = np.sqrt(n / 2.0) * at_zero[n - 1] - np.sqrt((n + 1) / 2.0) * at_zero[n + 1]
+    value = at_zero[:N]
+    gap = n[:, None] - n[None, :]
+    np.fill_diagonal(gap, 1)
+    overlaps = (value[None, :] * slope[:, None] - value[:, None] * slope[None, :]) / (2.0 * gap)
+    np.fill_diagonal(overlaps, 0.5)
+    overlaps.setflags(write=False)
+    return overlaps
 
 
-def quadrature_distribution(psi: FockVector, grid_size: int = 4001) -> QuadratureResult:
+def quadrature_distribution(psi: FockVector) -> QuadratureResult:
     """Homodyne statistics of ``psi`` for the quadrature ``X = (a+a_dag)/2``.
 
-    The density is built from the position-representation wavefunction via a
-    stable Hermite-function recurrence on a symmetric grid, integrated with
-    Simpson's rule. ``grid_size`` is rounded up to the next ``4k+1`` so that
-    ``x = 0`` is a grid node and each half-axis has an even panel count.
-    The Hermite table is real, so the real and imaginary parts of the
-    wavefunction are read out by one real product and the density is their
-    sum of squares; the table is never promoted to complex.
-
-    Raises
-    ------
-    GridTooCoarseError
-        If the integrated density misses unit normalization by more than
-        1e-6 relative to the state's own norm.
+    ``mean_X`` and ``prob_X_positive`` are exact (:func:`mean_quadrature`,
+    :func:`prob_quadrature_positive`). The density is the position-space
+    wavefunction sampled on a fixed symmetric grid through a real Hermite
+    table: the real and imaginary parts of the wavefunction are read out by
+    one real product and the density is their sum of squares.
     """
-    grid = _round_up_grid(int(grid_size))
-    u, phi, w, w_half = _hermite_grid(psi.dim, grid)
+    u, phi = _hermite_grid(psi.dim)
     re, im = np.stack((psi.amplitudes.real, psi.amplitudes.imag)) @ phi
-    dens_u = re * re + im * im
-
-    total = float(np.dot(w, dens_u))
-    expected = psi.norm**2
-    if abs(total - expected) > 1e-6 * max(expected, 1.0):
-        raise GridTooCoarseError(
-            f"density integrates to {total:.9f}, expected {expected:.9f}; "
-            f"increase grid_size (got {grid})"
-        )
-
-    half = grid // 2  # index of the u = 0 node
-    prob_pos = float(np.dot(w_half, dens_u[half:])) / total
-    mean_u = float(np.dot(w, u * dens_u)) / total
-
-    x = u / math.sqrt(2.0)
-    density = np.column_stack((x, math.sqrt(2.0) * dens_u / total))
+    density = math.sqrt(2.0) * (re * re + im * im) / psi.norm**2
     return QuadratureResult(
-        mean_X=mean_u / math.sqrt(2.0),
-        prob_X_positive=prob_pos,
-        density=density,
+        mean_X=mean_quadrature(psi),
+        prob_X_positive=prob_quadrature_positive(psi),
+        density=np.column_stack((u / math.sqrt(2.0), density)),
     )
 
 
@@ -404,6 +381,13 @@ def mean_quadrature(psi: FockVector) -> float:
     mean_a = np.sum(np.conj(c[:-1]) * np.sqrt(n) * c[1:])
     norm2 = psi.norm**2
     return float(mean_a.real / norm2)
+
+
+def prob_quadrature_positive(psi: FockVector) -> float:
+    """``Prob(X > 0) = c^dag I c / |c|^2`` from the half-line Hermite overlaps."""
+    overlaps = _half_line_overlaps(psi.dim)
+    re, im = psi.amplitudes.real, psi.amplitudes.imag
+    return float((re @ overlaps @ re + im @ overlaps @ im) / psi.norm**2)
 
 
 def fidelity(psi: FockVector, phi: FockVector) -> float:

@@ -47,7 +47,6 @@ from kerrcat.fock import (
     coherent_state,
     default_truncation,
     force_kick,
-    ladder_ops,
     mean_quadrature,
     require_finite,
 )
@@ -377,10 +376,10 @@ def single_emission_state(
     t_total = theta_total / lp.lambda_kerr
     if not 0.0 <= t_emit <= t_total:
         raise ValueError("t_emit must lie within the stage duration")
-    a, _, _ = ladder_ops(N)
-    before = lossy_kerr_propagator(lp.lambda_kerr * t_emit, lp, N)
-    after = lossy_kerr_propagator(theta_total - lp.lambda_kerr * t_emit, lp, N)
-    psi = after @ (a @ (before @ coherent_state(alpha0, N)))
+    theta = lp.lambda_kerr * t_emit
+    psi = _no_emission_diagonal(theta, lp, N) * coherent_state(alpha0, N).amplitudes
+    psi = np.append(np.sqrt(np.arange(1.0, N)) * psi[1:], 0.0)
+    psi = FockVector(_no_emission_diagonal(theta_total - theta, lp, N) * psi, N)
     weight = psi.norm**2
     if weight <= 0.0:
         raise ValueError("emission from this state has zero probability (vacuum input)")
@@ -404,22 +403,16 @@ def run_lossy_trajectory(
     recorded emission pattern.
 
     No operator matrix is built: the Kerr stages and ``xi^n`` are diagonal
-    and scale the amplitudes, the emission shifts them down one level, and
-    the displacement is applied in the cached eigenbasis of ``a + a_dag``.
+    and scale the amplitudes, the emission stage is ``single_emission_state``,
+    and the displacement is applied in the cached eigenbasis of ``a + a_dag``.
     """
     if N is None:
         N = default_truncation(alpha0)
     half_turn = math.pi / 2.0
-    psi = coherent_state(alpha0, N).amplitudes
     if t_emit is None:
-        psi = _no_emission_diagonal(half_turn, lp, N) * psi
+        psi = _no_emission_diagonal(half_turn, lp, N) * coherent_state(alpha0, N).amplitudes
     else:
-        if not 0.0 <= t_emit <= lp.tau_kerr:
-            raise ValueError("t_emit must lie within the first Kerr stage")
-        theta = lp.lambda_kerr * t_emit
-        psi = _no_emission_diagonal(theta, lp, N) * psi
-        psi = np.append(np.sqrt(np.arange(1.0, N)) * psi[1:], 0.0)
-        psi = _no_emission_diagonal(half_turn - theta, lp, N) * psi
+        psi = single_emission_state(t_emit, half_turn, alpha0, lp, N)[0].amplitudes
     psi = lp.xi ** np.arange(N) * psi
     evals, evecs = _quadrature_eigensystem(N)
     psi = evecs @ (np.exp(1j * delta_prime * evals) * (evecs.conj().T @ psi))

@@ -16,8 +16,9 @@ regardless of scheduling.
 Two outcome engines are provided. The ``analytic`` engine evaluates
 ``p1`` exactly from the coherent-branch algebra (closed-form Gaussian
 half-line integrals), vectorized over shots. The ``brute-force`` engine
-rebuilds the final state in the truncated number basis and integrates its
-quadrature density; it is the slow validation path.
+rebuilds the final state in the truncated number basis and reads
+``Prob(X > 0)`` off its amplitudes through the exact half-line Hermite
+overlaps; it is the slow validation path.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from kerrcat._coherent import ideal_pipeline, lossy_pipeline, prob_x_positive
-from kerrcat.fock import default_truncation, quadrature_distribution, require_finite
+from kerrcat.fock import default_truncation, prob_quadrature_positive, require_finite
 from kerrcat.loss import (
     KickStats,
     LossParams,
@@ -215,7 +216,7 @@ def _p1_brute_force(delta_prime: float, config: ExperimentConfig) -> float:
     else:
         total = float(_total_kick(float(delta_prime), config))
         psi = run_lossy_trajectory(p.alpha0, total, config.loss, N=p.truncation)
-    return float(np.clip(quadrature_distribution(psi).prob_X_positive, 0.0, 1.0))
+    return float(np.clip(prob_quadrature_positive(psi), 0.0, 1.0))
 
 
 def outcome_probability(delta_prime, config: ExperimentConfig):

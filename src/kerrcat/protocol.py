@@ -41,7 +41,6 @@ __all__ = [
     "run_ideal",
     "mean_X_ideal",
     "mean_X_linearized",
-    "coin_signal",
     "shot_errors",
     "branch_phase_shift",
 ]
@@ -212,11 +211,6 @@ def mean_X_linearized(alpha: float, delta: float) -> float:
             stacklevel=2,
         )
     return 4.0 * alpha * alpha * delta - delta
-
-
-def coin_signal(m_counts: int, M: int) -> SignalEstimate:
-    """Signal estimate ``S = m/M - 1/2`` with ``sigma_S = 1/sqrt(4M)``."""
-    return SignalEstimate(m_counts=m_counts, M=M)
 
 
 def shot_errors(pf: PhysicalForce, alpha: float) -> tuple[float, float]:

@@ -102,12 +102,13 @@ def _ideal_rows(config: ExperimentConfig) -> list[CheckRow]:
         )
     )
     psi = run_ideal(ProtocolParams(alpha0=2.0, delta=0.05))
+    x, density = quadrature_distribution(psi).density.T
     rows.append(
         CheckRow(
             name="quadrature_consistency alpha=2 delta=0.05",
             analytic=mean_quadrature(psi),
-            numeric=quadrature_distribution(psi).mean_X,
-            tolerance=1e-6,
+            numeric=float(np.trapezoid(x * density, x)),
+            tolerance=1e-12,
         )
     )
     return rows

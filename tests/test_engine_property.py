@@ -1,8 +1,9 @@
 """Property test: the analytic outcome engine against the brute-force engine.
 
 The brute-force engine builds the final state in the truncated number basis
-and integrates its quadrature density; the analytic engine evaluates the
-closed form. On the box below their measured gap is below 1e-10.
+and reads ``Prob(X > 0)`` off its amplitudes through the half-line Hermite
+overlaps; the analytic engine evaluates the closed form. On the box below
+their measured gap is below 1e-15.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from _support import params_for
 from kerrcat.montecarlo import ExperimentConfig, outcome_probability
 from kerrcat.protocol import ProtocolParams
 
-TOL = 1e-9
+TOL = 1e-13
 
 alpha0s = st.builds(
     complex,

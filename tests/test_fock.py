@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import eval_hermite
 from scipy.stats import poisson
 
 from kerrcat.fock import (
     FockOperator,
     FockVector,
-    GridTooCoarseError,
     TruncationError,
     coherent_state,
     default_truncation,
@@ -18,6 +19,7 @@ from kerrcat.fock import (
     kerr_unitary,
     ladder_ops,
     mean_quadrature,
+    prob_quadrature_positive,
     quadrature_distribution,
 )
 from kerrcat.protocol import cat_state
@@ -162,20 +164,40 @@ class TestQuadratureDistribution:
         rng = np.random.default_rng(7)
         for _ in range(100):
             psi = random_normalized_state(rng, 24)
-            res = quadrature_distribution(psi)
-            xs, px = res.density[:, 0], res.density[:, 1]
-            total = np.trapezoid(px, xs)
-            assert abs(total - 1.0) < 1e-6
-            assert abs(res.mean_X - mean_quadrature(psi)) < 1e-6
+            xs, px = quadrature_distribution(psi).density.T
+            assert abs(np.trapezoid(px, xs) - 1.0) < 1e-12
+            assert abs(np.trapezoid(xs * px, xs) - mean_quadrature(psi)) < 1e-12
 
     def test_density_peaks_follow_displacement(self):
         res = quadrature_distribution(coherent_state(1.5, 32))
         xs, px = res.density[:, 0], res.density[:, 1]
         assert abs(xs[np.argmax(px)] - 1.5) < 0.02
 
-    def test_coarse_grid_rejected(self):
-        with pytest.raises(GridTooCoarseError):
-            quadrature_distribution(coherent_state(2.0, 48), grid_size=25)
+
+class TestProbQuadraturePositive:
+    @pytest.mark.parametrize("N", [1, 2, 8, 24])
+    def test_matches_adaptive_half_line_integral(self, N):
+        # Independent reference: |psi(u)|^2 from scipy's Hermite polynomials,
+        # integrated over u >= 0 (x > 0) by adaptive quadrature.
+        rng = np.random.default_rng(N)
+        scale = [np.pi**-0.25 / math.sqrt(2.0**n * math.factorial(n)) for n in range(N)]
+        for _ in range(5):
+            c = rng.normal(size=N) + 1j * rng.normal(size=N)
+
+            def density(u):
+                hermite = [s * eval_hermite(n, u) for n, s in enumerate(scale)]
+                return abs(np.dot(c, hermite)) ** 2 * math.exp(-u * u)
+
+            expected = quad(density, 0.0, np.inf, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+            expected /= np.vdot(c, c).real
+            assert abs(prob_quadrature_positive(FockVector(c, N)) - expected) < 1e-12
+
+    def test_parity_and_displacement(self):
+        assert prob_quadrature_positive(coherent_state(0.0, 16)) == 0.5
+        assert abs(prob_quadrature_positive(cat_state(2.0, 48)) - 0.5) < 1e-14
+        # |alpha> has a Gaussian X density of mean alpha and variance 1/4.
+        expected = 0.5 * math.erfc(-2.0 * 0.7 / math.sqrt(2.0))
+        assert abs(prob_quadrature_positive(coherent_state(0.7, 32)) - expected) < 1e-13
 
 
 class TestOperatorContracts:

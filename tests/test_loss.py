@@ -1,7 +1,6 @@
 """Tests for the lossy-transfer model against brute-force two-mode evolution."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest

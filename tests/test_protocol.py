@@ -13,7 +13,6 @@ from kerrcat.protocol import (
     SignalEstimate,
     branch_phase_shift,
     cat_state,
-    coin_signal,
     force_to_delta,
     mean_X_ideal,
     mean_X_linearized,
@@ -174,18 +173,18 @@ class TestForceConversion:
 
 class TestCoinSignal:
     def test_values(self):
-        est = coin_signal(5200, 10_000)
+        est = SignalEstimate(m_counts=5200, M=10_000)
         assert abs(est.S - 0.02) < 1e-15
         assert abs(est.sigma_S - 0.005) < 1e-15
 
     def test_balanced_counts_give_zero(self):
-        assert coin_signal(500, 1000).S == 0.0
+        assert SignalEstimate(m_counts=500, M=1000).S == 0.0
 
     def test_rejects_invalid_counts(self):
         with pytest.raises(ValueError):
-            coin_signal(-1, 100)
+            SignalEstimate(m_counts=-1, M=100)
         with pytest.raises(ValueError):
-            coin_signal(101, 100)
+            SignalEstimate(m_counts=101, M=100)
         with pytest.raises(ValueError):
             SignalEstimate(m_counts=0, M=0)
 
