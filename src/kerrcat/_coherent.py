@@ -1,53 +1,62 @@
-"""Exact algebra on superpositions of coherent states.
+"""Exact algebra on superpositions of coherent states, and the kicked-cat read-out.
 
-Every stage of the measurement pipeline (Kerr quarter periods, impulsive
-kicks, beam-splitter attenuation, no-emission amplitude decay) maps a
-superposition of coherent states to another such superposition with a
-closed-form rule for the coefficients and amplitudes. Tracking the
-(coefficient, amplitude) pairs therefore evaluates the pipeline exactly — no
-truncated-space numerics — and Gaussian-overlap integrals give means and sign
-probabilities in closed form.
-
-The relevant identities, with ``|g>`` a coherent state:
+Every stage of the measurement pipeline maps a superposition of coherent
+states to another one, with a closed-form rule for the coefficients and
+amplitudes, so the pipeline is evaluated exactly, with no truncated space:
 
 - quarter-period Kerr: ``|g> -> e^{-i pi/4}(|g> + i|-g>)/sqrt(2)``
-- inverse quarter-period Kerr: ``|g> -> e^{+i pi/4}(|g> - i|-g>)/sqrt(2)``
-- kick ``exp(-i d (a+a_dag))``: ``|g> -> e^{-i d Re g} |g - i d>``
-- displacement ``exp(+i d (a+a_dag))``: ``|g> -> e^{+i d Re g} |g + i d>``
-- amplitude decay to fraction ``mu`` (no-emission branch of a loss channel):
-  ``|g> -> e^{|g|^2 (mu^2 - 1)/2} |mu g>`` (trace-decreasing)
+- kick ``exp(-i d (a+a_dag))`` (``q = -d``) or displacement
+  ``exp(+i d (a+a_dag))`` (``q = +d``): ``|g> -> e^{i q Re g} |g + i q>``
+- no-emission amplitude decay to ``mu``: ``|g> -> e^{|g|^2 (mu^2 - 1)/2} |mu g>``
 - overlap: ``<g1|g2> = exp(-|g1|^2/2 - |g2|^2/2 + conj(g1) g2)``
 
-**The final map is folded into the read-out.** Both pipelines end in a
-quarter-period map, which up to a global phase is
-``|g> -> (|g> + s|-g>)/sqrt(2)`` with ``s = -i`` (ideal pipeline, inverse
-map) or ``s = +i`` (lossy pipeline, forward map). Its output components come
-in ``±g`` pairs, and parity maps the projector onto ``X > 0`` to the one onto
-``X < 0``. So for the two components ``(c_i, g_i)`` entering the map, the
-block-diagonal pair terms sum to the norm ``D = sum_ij conj(c_i) c_j <g_i|g_j>``
-and the cross terms collapse into one interference sum:
+**The ±h structure.** Both pipelines reach the kick through kick-independent
+stages that leave two components ``(C0, h)`` and ``(C1, -h)``, computed once
+as scalars. The kick shifts both amplitudes by ``i q`` (ideal ``q = -delta``,
+lossy ``q = +delta'``), a decay ``mu`` follows (ideal 1, lossy ``eta``), and a
+last quarter-period map ``|g> -> (|g> + s|-g>)/sqrt(2)`` ends the pipeline,
+``s = -i`` (ideal, inverse map) or ``s = +i`` (lossy, forward map).
 
-- ``Prob(X > 0) = 1/2 + Re[s sum_ij conj(c_i) c_j <g_i|-g_j> erf((conj(g_i) - g_j)/sqrt(2))] / (2D)``
-- ``<X> = Re[s sum_ij conj(c_i) c_j <g_i|-g_j> (conj(g_i) - g_j)] / (2D)``
+**The closed form.** That map's output comes in ``±g`` pairs, and parity swaps
+``X > 0`` with ``X < 0``. So for the components ``(c_j, g_j)`` entering it,
+``Prob(X > 0) = 1/2 + Re[s sum_ij conj(c_i) c_j <g_i|-g_j> erf((conj(g_i) - g_j)/sqrt(2))] / (2D)``
+with norm ``D = sum_ij conj(c_i) c_j <g_i|g_j>``; ``<X>`` has ``conj(g_i) - g_j``
+in place of the ``erf``. With ``g_{0,1} = mu(±h + iq)`` each factor is a real
+Gaussian in ``q`` times a phase. Write ``X = Re h``, ``Y = Im h``, ``m = mu^2``,
+``P = conj(C0) C1``, ``a = 2(m-1)Yq``, and divide every weight by the decay
+factor both components share, ``e^{(m-1)(|h|^2 + q^2)}``:
 
-The ``(1, 0)`` term is minus the conjugate of the ``(0, 1)`` term, and the
-diagonal arguments are purely imaginary, so a sign probability costs one
-complex ``erf`` and two real Dawson functions (the overflow-free form of
-``exp(-y^2) erfi(y)``). The pipelines therefore stop before their last map
-and return the two components entering it with the map's ``s``.
+- weights ``w0 = |C0|^2 e^{a}``, ``w1 = |C1|^2 e^{-a}``
+- norm ``D = w0 + w1 + 2 e^{-2m|h|^2} Re(P e^{i thn})``, ``thn = 2(m-1)Xq``
+- cross term ``t = P e^{-2mq^2} e^{i tht} erf(u)``, ``tht = -2(1+m)Xq``,
+  ``u = sqrt(2) mu (X - iq)``
+- diagonal ``-(2/sqrt(pi)) e^{-2mX^2} [w0 dawsn(sqrt(2) mu (Y+q)) + w1 dawsn(sqrt(2) mu (q-Y))]``
+- ``Prob(X > 0) = 1/2 + Re(i s) (diagonal + 2 Im t) / (2D)``
 
-All functions broadcast: ``coeffs``/``amps`` may carry a trailing batch axis
-(shape ``(2,)`` or ``(2, M)``). The Monte Carlo feeds shots through it in
-fixed-size chunks, so a run's working memory does not grow with its shot
-count.
+**Why every factor is bounded.** Off the real axis ``erf(u)`` grows like
+``e^{2mq^2}`` while its prefactor falls like ``e^{-2mq^2}``; evaluated apart,
+one overflows as the other underflows and their product is NaN from
+|kick| ~ 18 on. With ``sigma = sgn X`` and the Faddeeva function ``w``,
+``erf(u) = sigma (1 - e^{-u^2} w(i sigma u))``, and ``e^{-u^2}`` joins the
+prefactor before anything is exponentiated:
+``t = sigma P [e^{-2mq^2} e^{i tht} - e^{-2mX^2} e^{i thn} w(i sigma u)]``.
+``Im(i sigma u) = sqrt(2) mu |X| >= 0``, so ``|w| <= 1``; Dawson's function is
+bounded; and the larger of ``e^{±a}`` (complex ``alpha0`` under loss) is
+divided out of numerator and norm. A shot costs one ``wofz``, two ``dawsn``
+(one when ``Y = 0``) and real exponentials and phases, and stays finite at
+any kick.
+
+``q`` may be a scalar or a batch array; results take its shape. The Monte
+Carlo feeds shots in fixed-size chunks, so memory does not grow with shots.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
-from scipy.special import dawsn, erf
+from scipy.special import dawsn, wofz
 
 _HALF_KERR_PHASE = np.exp(-1j * math.pi / 4) / math.sqrt(2.0)
 
@@ -58,6 +67,16 @@ LOSSY_FINAL_SIGN = 1j
 
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 _SQRT2 = math.sqrt(2.0)
+
+
+class KickedPair(NamedTuple):
+    """Components ``(C0, h)``, ``(C1, -h)``, then kick ``i*q``, decay ``mu`` and final map ``sign``."""
+
+    coeffs: np.ndarray
+    h: complex
+    q: np.ndarray
+    mu: float
+    sign: complex
 
 
 def initial(alpha0: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -71,117 +90,90 @@ def apply_half_kerr(coeffs: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, n
     return np.concatenate([c, 1j * c]), np.concatenate([amps, -amps])
 
 
-def apply_kick(coeffs: np.ndarray, amps: np.ndarray, delta) -> tuple[np.ndarray, np.ndarray]:
-    """Impulsive kick ``exp(-i*delta*(a+a_dag))``."""
-    return coeffs * np.exp(-1j * delta * amps.real), amps - 1j * delta
-
-
-def apply_plus_displacement(coeffs: np.ndarray, amps: np.ndarray, delta) -> tuple[np.ndarray, np.ndarray]:
-    """Displacement ``exp(+i*delta*(a+a_dag))`` (amplitude shift ``+i*delta``)."""
-    return coeffs * np.exp(1j * delta * amps.real), amps + 1j * delta
-
-
 def apply_decay(coeffs: np.ndarray, amps: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
     """No-emission amplitude decay ``|g| -> mu|g|`` with its weight factor."""
     weight = np.exp(0.5 * (mu * mu - 1.0) * (amps.real**2 + amps.imag**2))
     return coeffs * weight, mu * amps
 
 
-def _odd_moment(coeffs, amps, sign, kernel, self_kernel) -> np.ndarray:
-    """``Re[s sum_ij conj(c_i) c_j <g_i|-g_j> kernel(conj(g_i) - g_j)] / (2D)``.
+def _rotate(s, theta):
+    """``s e^{i theta}`` as a pair of real arrays (real and imaginary part)."""
+    cos, sin = np.cos(theta), np.sin(theta)
+    return s.real * cos - s.imag * sin, s.real * sin + s.imag * cos
 
-    ``coeffs``/``amps`` hold the two components entering the final map and
-    ``sign`` is its ``s``. ``self_kernel(x, y)`` is the diagonal term
-    ``Im[exp(-2|g|^2) kernel(-2iy)]`` for ``g = x + iy``, written so that it
-    cannot overflow.
+
+def _terms(pair: KickedPair):
+    """``w0``, ``w1``, ``D``, ``P e^{i thn}`` and ``P e^{i tht}``, over the larger of ``e^{±a}``."""
+    c0, c1 = pair.coeffs
+    x, y, q = pair.h.real, pair.h.imag, pair.q
+    m = pair.mu * pair.mu
+    slope = 2.0 * (m - 1.0) * y
+    a = slope * q if slope else 0.0
+    big = np.abs(a)
+    w0 = abs(c0) ** 2 * np.exp(a - big)
+    w1 = abs(c1) ** 2 * np.exp(-a - big)
+    cross = np.exp(-big) * (np.conj(c0) * c1)
+    along_n = _rotate(cross, 2.0 * (m - 1.0) * x * q)
+    along_t = _rotate(cross, -2.0 * (1.0 + m) * x * q)
+    norm = w0 + w1 + 2.0 * math.exp(-2.0 * m * abs(pair.h) ** 2) * along_n[0]
+    return w0, w1, norm, along_n, along_t
+
+
+def _read_out(pair: KickedPair, odd, norm):
+    return (1j * pair.sign).real * odd / (2.0 * norm)
+
+
+def kicked_prob_x_positive(pair: KickedPair) -> np.ndarray:
+    """Normalized ``Prob(X > 0)`` after the final map (the closed form above)."""
+    x, y, q = pair.h.real, pair.h.imag, pair.q
+    m = pair.mu * pair.mu
+    w0, w1, norm, (re_n, im_n), (_, im_t) = _terms(pair)
+    sigma = 1.0 if x >= 0.0 else -1.0
+    root = _SQRT2 * pair.mu
+    faddeeva = wofz(root * (sigma * q + 1j * abs(x)))
+    gauss_x = math.exp(-2.0 * m * x * x)
+    cross = np.exp(-2.0 * m * q * q) * im_t - gauss_x * (re_n * faddeeva.imag + im_n * faddeeva.real)
+    dawson0 = dawsn(root * (y + q))
+    dawson1 = dawson0 if y == 0.0 else dawsn(root * (q - y))
+    diagonal = -_TWO_OVER_SQRT_PI * gauss_x * (w0 * dawson0 + w1 * dawson1)
+    return 0.5 + _read_out(pair, diagonal + 2.0 * sigma * cross, norm)
+
+
+def kicked_mean_x(pair: KickedPair) -> np.ndarray:
+    """Normalized mean of ``X = (a + a_dag)/2`` after the final map."""
+    x, y, q = pair.h.real, pair.h.imag, pair.q
+    m = pair.mu * pair.mu
+    w0, w1, norm, _, (re_t, im_t) = _terms(pair)
+    cross = 2.0 * pair.mu * np.exp(-2.0 * m * q * q) * (x * im_t - q * re_t)
+    gauss0 = np.exp(-2.0 * m * (x * x + (y + q) ** 2))
+    gauss1 = np.exp(-2.0 * m * (x * x + (q - y) ** 2))
+    diagonal = -2.0 * pair.mu * (w0 * (y + q) * gauss0 + w1 * (q - y) * gauss1)
+    return _read_out(pair, diagonal + 2.0 * cross, norm)
+
+
+def ideal_pipeline(alpha0: complex, delta) -> KickedPair:
+    """The lossless pipeline up to its final map: Kerr, then kick ``exp(-i delta (a+a_dag))``.
+
+    ``delta`` may be a scalar or a batch array of effective kicks.
     """
-    c0, c1 = coeffs[0], coeffs[1]
-    g0, g1 = amps[0], amps[1]
-    w0 = c0.real**2 + c0.imag**2
-    w1 = c1.real**2 + c1.imag**2
-    cross = np.conj(c0) * c1
-    log_half = -0.5 * (g0.real**2 + g0.imag**2 + g1.real**2 + g1.imag**2)
-    product = np.conj(g0) * g1
-    norm = w0 + w1 + 2.0 * (cross * np.exp(log_half + product)).real
-    t01 = cross * np.exp(log_half - product) * kernel(np.conj(g0) - g1)
-    # The sum is i*odd: the diagonal terms are imaginary, and t10 = -conj(t01).
-    odd = w0 * self_kernel(g0.real, g0.imag) + w1 * self_kernel(g1.real, g1.imag) + 2.0 * t01.imag
-    return (1j * sign).real * odd / (2.0 * norm)
+    coeffs, amps = apply_half_kerr(*initial(alpha0))
+    return KickedPair(coeffs, complex(amps[0]), -np.asarray(delta, dtype=float), 1.0, IDEAL_FINAL_SIGN)
 
 
-def _erf_kernel(w):
-    return erf(w / _SQRT2)
-
-
-def _erf_self_kernel(x, y):
-    # exp(-2|g|^2) erf(-i sqrt(2) y) = -i exp(-2x^2) (2/sqrt(pi)) dawsn(sqrt(2) y)
-    return -_TWO_OVER_SQRT_PI * np.exp(-2.0 * x * x) * dawsn(_SQRT2 * y)
-
-
-def _identity_kernel(w):
-    return w
-
-
-def _identity_self_kernel(x, y):
-    return -2.0 * y * np.exp(-2.0 * (x * x + y * y))
-
-
-def mean_x(coeffs: np.ndarray, amps: np.ndarray, sign: complex) -> np.ndarray:
-    """Normalized mean of ``X = (a + a_dag)/2`` after the final map ``s = sign``."""
-    return _odd_moment(coeffs, amps, sign, _identity_kernel, _identity_self_kernel)
-
-
-def prob_x_positive(coeffs: np.ndarray, amps: np.ndarray, sign: complex) -> np.ndarray:
-    """Normalized probability of a positive quadrature after the final map.
-
-    ``coeffs``/``amps`` are the two components entering the last
-    quarter-period map and ``sign`` its ``s`` (see the module docstring):
-    ``1/2 + Re[s sum_ij conj(c_i) c_j <g_i|-g_j> erf((conj(g_i) - g_j)/sqrt(2))] / (2D)``.
-    """
-    return 0.5 + _odd_moment(coeffs, amps, sign, _erf_kernel, _erf_self_kernel)
-
-
-def _batched_initial(alpha0: complex, kick: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The initial component, shaped to broadcast against a batch of kicks."""
-    coeffs, amps = initial(alpha0)
-    shape = (1,) * (1 + kick.ndim)
-    return coeffs.reshape(shape), amps.reshape(shape)
-
-
-def ideal_pipeline(alpha0: complex, delta) -> tuple[np.ndarray, np.ndarray, complex]:
-    """The lossless pipeline up to its final map: Kerr, then kick.
-
-    Returns the two components entering the inverse quarter-period map and
-    that map's ``s``. ``delta`` may be a scalar or a batch array of effective
-    kicks; the returned arrays then carry a matching trailing batch axis.
-    """
-    delta = np.asarray(delta, dtype=float)
-    coeffs, amps = _batched_initial(alpha0, delta)
-    coeffs, amps = apply_half_kerr(coeffs, amps)
-    coeffs, amps = apply_kick(coeffs, amps, delta)
-    return coeffs, amps, IDEAL_FINAL_SIGN
-
-
-def lossy_pipeline(
-    alpha0: complex, delta_prime, eta: float, xi: float
-) -> tuple[np.ndarray, np.ndarray, complex]:
+def lossy_pipeline(alpha0: complex, delta_prime, eta: float, xi: float) -> KickedPair:
     """The no-emission lossy pipeline up to its final map.
 
     Stages: amplitude decay ``eta`` under the first Kerr half-period, the
     quarter-period Kerr map, beam-splitter attenuation ``xi`` from the
     round-trip transfer, displacement ``+i*delta_prime``, and amplitude decay
-    ``eta`` under the second Kerr half-period. Returns the two components
-    entering the final (forward) quarter-period map and that map's ``s``.
-    ``delta_prime`` may be batched like :func:`ideal_pipeline`.
+    ``eta`` under the second Kerr half-period; the final (forward)
+    quarter-period map is folded into the read-out. ``delta_prime`` may be
+    batched like :func:`ideal_pipeline`.
 
-    The component weights are trace-decreasing; normalization happens inside
-    the moment functions, which conditions the statistics on no emission.
+    The component weights are trace-decreasing; the read-out normalizes, which
+    conditions the statistics on no emission.
     """
-    delta_prime = np.asarray(delta_prime, dtype=float)
-    coeffs, amps = _batched_initial(alpha0, delta_prime)
-    coeffs, amps = apply_decay(coeffs, amps, eta)
-    coeffs, amps = apply_half_kerr(coeffs, amps)
-    coeffs, amps = apply_decay(coeffs, amps, xi)
-    coeffs, amps = apply_plus_displacement(coeffs, amps, delta_prime)
-    coeffs, amps = apply_decay(coeffs, amps, eta)
-    return coeffs, amps, LOSSY_FINAL_SIGN
+    coeffs, amps = apply_decay(*initial(alpha0), eta)
+    coeffs, amps = apply_decay(*apply_half_kerr(coeffs, amps), xi)
+    q = np.asarray(delta_prime, dtype=float)
+    return KickedPair(coeffs, complex(amps[0]), q, float(eta), LOSSY_FINAL_SIGN)

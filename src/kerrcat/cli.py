@@ -29,8 +29,8 @@ import sys
 
 import click
 import numpy as np
-from scipy.constants import hbar, k as k_boltzmann
 
+from kerrcat.constants import hbar, k_boltzmann
 from kerrcat.loss import (
     LossParams,
     OverdampedTransferError,

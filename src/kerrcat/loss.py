@@ -36,10 +36,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.constants import hbar, k as k_boltzmann
-from scipy.integrate import quad
 
-from kerrcat._coherent import lossy_pipeline, mean_x
+from kerrcat._coherent import kicked_mean_x, lossy_pipeline
+from kerrcat.constants import hbar, k_boltzmann
 from kerrcat.fock import (
     FockOperator,
     FockVector,
@@ -231,8 +230,11 @@ def _quad_strict(integrand: Callable[[float], float], a: float, b: float) -> flo
     With ``full_output`` ``quad`` returns its failure message instead of
     warning it. Turning the warning into an error would need a
     ``catch_warnings`` block, and leaving one resets the warning registry, so
-    every warning already shown once would be shown again.
+    every warning already shown once would be shown again. ``quad`` is
+    imported here, so ``import kerrcat`` does not load ``scipy.integrate``.
     """
+    from scipy.integrate import quad
+
     value, _, _, *message = quad(integrand, a, b, full_output=1, limit=800, epsabs=1e-14, epsrel=1e-11)
     if message:
         raise RuntimeError(f"kick quadrature did not converge: {message[0]}")
@@ -437,7 +439,7 @@ def mean_X_lossy(alpha: float, delta_prime: float, lp: LossParams) -> float:
             "loss per Kerr stage is large (kappa*tau_kerr > 0.3); the weak-loss model is unreliable",
             stacklevel=2,
         )
-    return mean_x(*lossy_pipeline(alpha, delta_prime, lp.eta, lp.xi))
+    return kicked_mean_x(lossy_pipeline(alpha, delta_prime, lp.eta, lp.xi))
 
 
 def mean_X_lossy_linearized(alpha: float, delta_prime: float, lp: LossParams) -> float:

@@ -31,9 +31,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import ndtri, roots_hermite
 
-from kerrcat._coherent import ideal_pipeline, lossy_pipeline, prob_x_positive
+from kerrcat._coherent import ideal_pipeline, kicked_prob_x_positive, lossy_pipeline
 from kerrcat.fock import default_truncation, prob_quadrature_positive, require_finite
 from kerrcat.loss import (
     KickStats,
@@ -65,6 +65,13 @@ _OUTCOME_STREAM = 3
 
 #: Shots evaluated per batch by ``run_experiment``.
 _CHUNK_SHOTS = 2**16
+
+#: Fewest Gauss-Hermite nodes of the kick average.
+_MIN_HERMITE_NODES = 21
+#: Most Gauss-Hermite nodes of the kick average before it is reported as not converged.
+_MAX_HERMITE_NODES = 2**16
+#: Two successive rules of the kick average that agree this closely have converged.
+_HERMITE_TOL = 1e-12
 
 #: Largest single-mode dimension the brute-force engine accepts.
 MAX_BRUTE_FORCE_DIM = 160
@@ -200,11 +207,45 @@ def _p1_analytic(delta_prime, config: ExperimentConfig):
     """Exact no-emission outcome probability from the coherent-branch algebra."""
     total = np.asarray(_total_kick(np.asarray(delta_prime, dtype=float), config))
     if config.loss is None:
-        coeffs, amps, sign = ideal_pipeline(config.protocol.alpha0, total)
+        pair = ideal_pipeline(config.protocol.alpha0, total)
     else:
         lp = config.loss
-        coeffs, amps, sign = lossy_pipeline(complex(config.protocol.alpha0), total, lp.eta, lp.xi)
-    return np.clip(prob_x_positive(coeffs, amps, sign), 0.0, 1.0)
+        pair = lossy_pipeline(complex(config.protocol.alpha0), total, lp.eta, lp.xi)
+    return np.clip(kicked_prob_x_positive(pair), 0.0, 1.0)
+
+
+def _kick_average(stats: KickStats, config: ExperimentConfig) -> float:
+    """``E[p1]`` over the Gaussian kick, by Gauss-Hermite rules of doubling size.
+
+    The first rule has ``(std * (4|Re alpha0| + 18) / 2)^2`` nodes, at least
+    ``_MIN_HERMITE_NODES``: ``p1`` oscillates in the kick at the fringe
+    frequency ``2(1 + eta^2) Re h <= 4|Re alpha0|``, and its Gaussian factors
+    add a bandwidth of about 18 (measured: this count is within a factor 2 of
+    the fewest nodes that reach 1e-13, for |alpha0| <= 6 and kick std <= 2.5).
+    Returns the first rule that agrees with the next, twice as large, to
+    ``_HERMITE_TOL``. Warns if no rule up to ``_MAX_HERMITE_NODES`` nodes
+    converges, and returns the largest one.
+    """
+
+    def average(n: int) -> float:
+        nodes, weights = roots_hermite(n)
+        deltas = stats.mean + math.sqrt(2.0 * stats.variance) * nodes
+        return float(weights @ _p1_analytic(deltas, config)) / math.sqrt(math.pi)
+
+    spread = stats.std * (4.0 * abs(complex(config.protocol.alpha0).real) + 18.0)
+    n = min(max(_MIN_HERMITE_NODES, math.ceil((spread / 2.0) ** 2)), _MAX_HERMITE_NODES)
+    estimate = average(n)
+    while 2 * n <= _MAX_HERMITE_NODES:
+        n *= 2
+        finer = average(n)
+        if abs(finer - estimate) <= _HERMITE_TOL:
+            return estimate
+        estimate = finer
+    warnings.warn(
+        f"kick average of p1 did not converge with {n} Gauss-Hermite nodes (kick std {stats.std:.3g})",
+        stacklevel=4,
+    )
+    return estimate
 
 
 def _p1_brute_force(delta_prime: float, config: ExperimentConfig) -> float:
@@ -278,6 +319,17 @@ def _emission_prob(config: ExperimentConfig) -> float:
     return float(np.clip(emission_probability(config.protocol.alpha, config.loss), 0.0, 1.0))
 
 
+def _cell_inputs(config: ExperimentConfig) -> tuple[KickStats, float, float | None]:
+    """What a run and its prediction share: kick statistics, ``P``, and ``p1`` of a constant kick.
+
+    ``p1`` is ``None`` with kick noise; for a constant kick it is a
+    one-element batch through the config's engine.
+    """
+    stats = _kick_stats(config)
+    p1 = outcome_probability(np.array([stats.mean]), config)[0] if stats.variance == 0.0 else None
+    return stats, _emission_prob(config), p1
+
+
 def _digest(config: ExperimentConfig) -> str:
     blob = f"{config.protocol!r}|{config.loss!r}|{config.force_spec!r}|{config.shots}|{config.engine}"
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -306,15 +358,16 @@ def run_experiment(config: ExperimentConfig) -> SignalEstimate:
     ``u < 0`` never holds for a uniform in [0, 1). Each stream has its own
     key, so skipping one moves none of the others.
     """
+    return _simulate(config, *_cell_inputs(config))
+
+
+def _simulate(config: ExperimentConfig, stats: KickStats, p_emit: float, p1) -> SignalEstimate:
+    """The shot loop of :func:`run_experiment`, on the inputs of :func:`_cell_inputs`."""
     m_total = config.shots
-    stats = _kick_stats(config)
-    p_emit = _emission_prob(config)
     kick_rng = _stream(config.seed, _KICK_STREAM)
     emit_rng = _stream(config.seed, _EMISSION_STREAM)
     out_rng = _stream(config.seed, _OUTCOME_STREAM)
     constant_kick = stats.variance == 0.0
-    if constant_kick:
-        p1 = outcome_probability(np.array([stats.mean]), config)[0]
     m_counts = 0
     for start in range(0, m_total, _CHUNK_SHOTS):
         size = min(_CHUNK_SHOTS, m_total - start)
@@ -338,16 +391,19 @@ def run_experiment(config: ExperimentConfig) -> SignalEstimate:
 def predicted_signal(config: ExperimentConfig) -> tuple[float, float]:
     """Exact-engine prediction ``(S, P_emission)`` for a config.
 
-    Averages ``p1`` over the thermal kick distribution (21-node
-    Gauss-Hermite) and applies the emission mixing:
-    ``S = (1 - P) * (E[p1] - 1/2)``.
+    Averages ``p1`` over the thermal kick distribution (Gauss-Hermite, with
+    as many nodes as the kick noise needs; see :func:`_kick_average`) and
+    applies the emission mixing: ``S = (1 - P) * (E[p1] - 1/2)``.
     """
-    stats = _kick_stats(config)
-    p_emit = _emission_prob(config)
+    return _predict(config, _kick_stats(config), _emission_prob(config))
+
+
+def _predict(config: ExperimentConfig, stats: KickStats, p_emit: float, p1=None) -> tuple[float, float]:
+    """:func:`predicted_signal` on shared inputs; reuses a constant-kick ``p1`` of the analytic engine."""
     if stats.variance > 0.0:
-        nodes, weights = np.polynomial.hermite.hermgauss(21)
-        deltas = stats.mean + math.sqrt(2.0 * stats.variance) * nodes
-        p_mean = float(weights @ _p1_analytic(deltas, config)) / math.sqrt(math.pi)
+        p_mean = _kick_average(stats, config)
+    elif p1 is not None and config.engine == "analytic":
+        p_mean = float(p1)
     else:
         p_mean = float(_p1_analytic(np.float64(stats.mean), config))
     return (1.0 - p_emit) * (p_mean - 0.5), p_emit
@@ -373,7 +429,9 @@ def sweep(axis: str, values, base: ExperimentConfig) -> list[SweepRow]:
 
     Cell ``i`` runs with seed ``base.seed + i`` (documented, deterministic).
     Each row carries the measured estimate, the exact-engine prediction
-    ``S_analytic``, and the emission probability for that cell.
+    ``S_analytic``, and the emission probability for that cell. The run and
+    the prediction of a cell share one evaluation of the kick statistics, the
+    emission probability and, for a constant kick, ``p1``.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
@@ -384,8 +442,9 @@ def sweep(axis: str, values, base: ExperimentConfig) -> list[SweepRow]:
     for index, value in enumerate(values):
         cell = _apply_axis(base, axis, value)
         cell = dataclasses.replace(cell, seed=base.seed + index)
-        estimate = run_experiment(cell)
-        s_analytic, p_emit = predicted_signal(cell)
+        inputs = _cell_inputs(cell)
+        estimate = _simulate(cell, *inputs)
+        s_analytic, p_emit = _predict(cell, *inputs)
         rows.append(
             SweepRow(
                 axis=axis,

@@ -20,8 +20,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from scipy.constants import hbar
-
+from kerrcat.constants import hbar
 from kerrcat.fock import (
     FockVector,
     coherent_state,

@@ -3,7 +3,7 @@
 The brute-force engine builds the final state in the truncated number basis
 and reads ``Prob(X > 0)`` off its amplitudes through the half-line Hermite
 overlaps; the analytic engine evaluates the closed form. On the box below
-their measured gap is below 1e-15.
+their measured gap is at most 5.6e-16.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from _support import params_for
 from kerrcat.montecarlo import ExperimentConfig, outcome_probability
 from kerrcat.protocol import ProtocolParams
 
-TOL = 1e-13
+TOL = 1e-14
 
 alpha0s = st.builds(
     complex,

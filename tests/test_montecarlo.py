@@ -5,12 +5,15 @@ from __future__ import annotations
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import roots_hermite
 
 from _support import params_for, reference_params
 from kerrcat import montecarlo
+from kerrcat._coherent import kicked_prob_x_positive
 from kerrcat.loss import KickStats, momentum_kick_stats
 from kerrcat.montecarlo import (
     SWEEP_AXES,
@@ -18,6 +21,7 @@ from kerrcat.montecarlo import (
     ForceSpec,
     coin_bias_from_signal,
     outcome_probability,
+    predicted_signal,
     run_experiment,
     sample_kick,
     sweep,
@@ -298,6 +302,48 @@ class TestEngineCalls:
         assert sizes == [chunk, chunk, 5]
 
 
+class TestPrediction:
+    """``predicted_signal`` averages ``p1`` over the kick noise to convergence at any temperature."""
+
+    @staticmethod
+    def _config(alpha0, temp, **overrides):
+        protocol = ProtocolParams(alpha0=alpha0, delta=0.0, apply_offset=True)
+        return lossy_config(protocol=protocol, loss=reference_params(temp=temp), **overrides)
+
+    @pytest.mark.parametrize("temp", [0.0, 0.01, 1.0, 100.0, 300.0, 1000.0, 3000.0])
+    def test_matches_a_4001_node_reference(self, temp):
+        nodes, weights = roots_hermite(4001)
+        for alpha0 in (0.5, 1.5, 2.5, 4.0):
+            config = self._config(alpha0, temp)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # P > 0.5 at alpha0 = 4
+                s_analytic, p_emit = predicted_signal(config)
+            stats = montecarlo._kick_stats(config)
+            p1 = montecarlo._p1_analytic(stats.mean + math.sqrt(2.0 * stats.variance) * nodes, config)
+            reference = (1.0 - p_emit) * (float(weights @ p1) / math.sqrt(math.pi) - 0.5)
+            # Measured max gap 7.0e-13 (300 K, alpha0 = 0.5).
+            assert abs(s_analytic - reference) < 1e-10, alpha0
+
+    def test_keeps_21_nodes_where_they_converge(self):
+        nodes, weights = np.polynomial.hermite.hermgauss(21)
+        config = self._config(1.5, 0.05)
+        stats = montecarlo._kick_stats(config)
+        p1 = montecarlo._p1_analytic(stats.mean + math.sqrt(2.0 * stats.variance) * nodes, config)
+        s_analytic, p_emit = predicted_signal(config)
+        assert s_analytic == pytest.approx((1.0 - p_emit) * (float(weights @ p1) / math.sqrt(math.pi) - 0.5), abs=1e-15)
+
+    @pytest.mark.parametrize("temp", [300.0, 1000.0])
+    def test_run_matches_prediction_when_hot(self, temp):
+        estimate = run_experiment(self._config(2.5, temp, shots=1_000_000, seed=11))
+        s_analytic, _ = predicted_signal(self._config(2.5, temp))
+        assert abs(estimate.S - s_analytic) < 5.0 * estimate.sigma_S
+
+    def test_warns_when_the_average_does_not_converge(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_MAX_HERMITE_NODES", 64)
+        with pytest.warns(UserWarning, match="did not converge"):
+            predicted_signal(self._config(2.5, 3000.0))
+
+
 class TestBoundedMemory:
     def test_million_shot_run_stays_under_64_mb(self):
         # Shots run in fixed-size chunks, so the peak does not grow with M.
@@ -381,6 +427,44 @@ class TestSweep:
     def test_deterministic(self):
         base = ideal_config()
         assert sweep("delta", [0.0, 0.01], base) == sweep("delta", [0.0, 0.01], base)
+
+    @pytest.mark.parametrize(
+        "axis, values, base",
+        [
+            ("delta", [-0.02, 0.0, 0.02], ideal_config()),
+            ("temp", [0.0, 0.05, 300.0], lossy_config(shots=2_000)),
+            ("delta", [0.0, 0.01], ideal_config(engine="brute-force", shots=500)),
+        ],
+    )
+    def test_rows_equal_per_cell_run_and_prediction(self, axis, values, base):
+        for index, (row, value) in enumerate(zip(sweep(axis, values, base), values)):
+            cell = dataclasses.replace(montecarlo._apply_axis(base, axis, value), seed=base.seed + index)
+            s_analytic, p_emit = predicted_signal(cell)
+            assert row.estimate == run_experiment(cell)
+            assert row.P_emission == p_emit
+            assert abs(row.S_analytic - s_analytic) <= 1e-15
+
+    def test_ideal_cell_evaluates_the_kernel_once(self, monkeypatch):
+        calls = []
+
+        def spy(pair):
+            calls.append(np.size(pair.q))
+            return kicked_prob_x_positive(pair)
+
+        monkeypatch.setattr(montecarlo, "kicked_prob_x_positive", spy)
+        sweep("delta", [-0.02, 0.0, 0.02], ideal_config())
+        assert calls == [1, 1, 1]
+
+    def test_lossy_cell_runs_the_kick_quadrature_once(self, monkeypatch):
+        calls = []
+
+        def spy(force_fn, lp):
+            calls.append(lp.temp)
+            return momentum_kick_stats(force_fn, lp)
+
+        monkeypatch.setattr(montecarlo, "momentum_kick_stats", spy)
+        sweep("temp", [0.0, 0.05], lossy_config(shots=100))
+        assert calls == [0.0, 0.05]
 
     def test_loss_axis_requires_loss_model(self):
         with pytest.raises(ValueError, match="loss"):
