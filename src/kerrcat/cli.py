@@ -42,8 +42,6 @@ from kerrcat.montecarlo import (
     SWEEP_AXES,
     ExperimentConfig,
     ForceSpec,
-    predicted_signal,
-    run_experiment,
     sweep as run_sweep,
 )
 from kerrcat.protocol import ProtocolParams
@@ -143,8 +141,6 @@ def parse_scenario(text: str) -> ExperimentConfig:
     truncation = None
     if "truncation" in proto:
         truncation = _parse_int(proto["truncation"], "[protocol] truncation")
-        if truncation < 2:
-            raise ScenarioError("[protocol] truncation must be at least 2")
     try:
         protocol = ProtocolParams(
             alpha0=_parse_complex(proto["alpha0"], "[protocol] alpha0"),
@@ -391,14 +387,15 @@ def sweep_cmd(config_path, axis, values, out_path, fmt, seed, shots, engine) -> 
 def shots(config_path, seed, shots, engine) -> None:
     """Run one shot-level experiment and print the signal estimate."""
     config = _scenario(config_path, seed=seed, shots=shots, engine=engine)
-    estimate = run_experiment(config)
-    s_analytic, p_emit = predicted_signal(config)
+    # A one-cell sweep shares the kick statistics between the run and its prediction.
+    row = run_sweep("shots", [config.shots], config)[0]
+    estimate = row.estimate
     click.echo(f"m_counts    = {estimate.m_counts}")
     click.echo(f"M           = {estimate.M}")
     click.echo(f"S           = {estimate.S:.17g}")
     click.echo(f"sigma_S     = {estimate.sigma_S:.17g}")
-    click.echo(f"S_analytic  = {s_analytic:.17g}")
-    click.echo(f"P_emission  = {p_emit:.17g}")
+    click.echo(f"S_analytic  = {row.S_analytic:.17g}")
+    click.echo(f"P_emission  = {row.P_emission:.17g}")
     click.echo(f"seed        = {estimate.seed}")
     click.echo(f"digest      = {estimate.params_digest}")
 

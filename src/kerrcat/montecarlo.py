@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import ndtri, roots_hermite
 
 from kerrcat._coherent import ideal_pipeline, kicked_prob_x_positive, lossy_pipeline
-from kerrcat.fock import default_truncation, prob_quadrature_positive, require_finite
+from kerrcat.fock import prob_quadrature_positive, require_finite
 from kerrcat.loss import (
     KickStats,
     LossParams,
@@ -154,12 +154,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown engine {self.engine!r}; expected 'analytic' or 'brute-force'")
         if self.force_spec is not None and self.loss is None:
             raise ValueError("a force waveform requires the loss model")
-        if self.engine == "brute-force":
-            dim = self.protocol.truncation or default_truncation(self.protocol.alpha0)
-            if dim > MAX_BRUTE_FORCE_DIM:
-                raise ValueError(
-                    f"brute-force engine needs truncation <= {MAX_BRUTE_FORCE_DIM}, got {dim}"
-                )
+        if self.engine == "brute-force" and self.protocol.dim > MAX_BRUTE_FORCE_DIM:
+            raise ValueError(
+                f"brute-force engine needs truncation <= {MAX_BRUTE_FORCE_DIM}, got {self.protocol.dim}"
+            )
 
 
 @dataclass(frozen=True)
@@ -417,6 +415,8 @@ def _apply_axis(base: ExperimentConfig, axis: str, value) -> ExperimentConfig:
         protocol = dataclasses.replace(base.protocol, delta=float(value))
         return dataclasses.replace(base, protocol=protocol)
     if axis == "shots":
+        if not float(value).is_integer():
+            raise ValueError(f"shots must be a whole number, got {value!r}")
         return dataclasses.replace(base, shots=int(value))
     if base.loss is None:
         raise ValueError(f"axis {axis!r} requires the loss model")

@@ -17,6 +17,7 @@ imbalance is linear in the force.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -60,7 +61,8 @@ class ProtocolParams:
         before the kick (single combined kick; kicks compose additively up to
         a global phase).
     truncation : int or None
-        Fock-space dimension; ``None`` selects the default truncation rule.
+        Fock-space dimension of at least 2; ``None`` selects the default
+        truncation rule.
     """
 
     alpha0: complex
@@ -70,6 +72,9 @@ class ProtocolParams:
 
     def __post_init__(self) -> None:
         require_finite("ProtocolParams", alpha0=complex(self.alpha0), delta=self.delta)
+        n = self.truncation
+        if n is not None and (isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2):
+            raise ValueError(f"ProtocolParams.truncation must be an integer of at least 2, got {n!r}")
         if self.apply_offset and self.alpha == 0.0:
             raise ValueError("the offset working point requires Re(alpha0) != 0")
 
@@ -113,6 +118,7 @@ class PhysicalForce:
     omega_m: float
 
     def __post_init__(self) -> None:
+        require_finite("PhysicalForce", F=self.F, dt=self.dt, mass=self.mass, omega_m=self.omega_m)
         for name in ("dt", "mass", "omega_m"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be strictly positive")

@@ -11,7 +11,8 @@ from click.testing import CliRunner
 
 from _support import TWO_PI
 from kerrcat.cli import ScenarioError, default_config, main, parse_scenario, serialize_scenario
-from kerrcat.loss import reference_loss_params
+from kerrcat import montecarlo
+from kerrcat.loss import momentum_kick_stats, reference_loss_params
 from kerrcat.montecarlo import ExperimentConfig, ForceSpec
 from kerrcat.protocol import ProtocolParams
 from kerrcat.validation import validation_rows
@@ -109,6 +110,10 @@ class TestParseScenario:
         bad = LOSSY_SCENARIO.replace("gamma = 10", "gamma = -10")
         with pytest.raises(ScenarioError, match="non-negative"):
             parse_scenario(bad)
+
+    def test_truncation_below_two_rejected(self):
+        with pytest.raises(ScenarioError, match="truncation must be an integer of at least 2"):
+            parse_scenario(IDEAL_SCENARIO.replace("alpha0 = 2.0", "alpha0 = 2.0\ntruncation = 1"))
 
     def test_bad_number_rejected(self):
         with pytest.raises(ScenarioError, match="parse"):
@@ -374,6 +379,29 @@ class TestCommands:
         assert float(fields["sigma_S"]) == pytest.approx(1.0 / math.sqrt(1600.0), rel=1e-12)
         assert abs(float(fields["S_analytic"])) < 0.5
         assert float(fields["P_emission"]) == 0.0
+
+    def test_shots_lossy_runs_the_kick_quadrature_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(force_fn, lp):
+            calls.append(lp.temp)
+            return momentum_kick_stats(force_fn, lp)
+
+        monkeypatch.setattr(montecarlo, "momentum_kick_stats", spy)
+        path = tmp_path / "lossy.ini"
+        path.write_text(LOSSY_SCENARIO)
+        result = self.runner.invoke(main, ["shots", "--config", str(path), "--shots", "200"])
+        assert result.exit_code == 0, result.output
+        assert calls == [0.0]
+
+    def test_sweep_non_integral_shots_exits_two(self, tmp_path):
+        out = tmp_path / "shots.csv"
+        result = self.runner.invoke(
+            main, ["sweep", "--axis", "shots", "--values", "1000.7,50.2", "--out", str(out)]
+        )
+        assert result.exit_code == 2
+        assert "shots must be a whole number" in result.output
+        assert not out.exists()
 
     def test_shots_deterministic_output(self):
         first = self.runner.invoke(main, ["shots", "--shots", "300", "--seed", "5"])

@@ -15,7 +15,6 @@ from scipy.special import dawsn, erf
 import kerrcat
 from _support import params_for, reference_params
 from kerrcat._coherent import (
-    apply_decay,
     ideal_pipeline,
     kicked_mean_x,
     kicked_prob_x_positive,
@@ -31,16 +30,31 @@ def _pipelines(alpha0, q):
     return ideal_pipeline(alpha0, -q), lossy_pipeline(alpha0, q, lp.eta, lp.xi)
 
 
-def _interference_sum(pair):
-    """``(Prob(X > 0), <X>)`` from the unsimplified sum over the two kicked, decayed components.
+def _interference_sum(alpha0, q, lp=None):
+    """``(Prob(X > 0), <X>)`` from the unsimplified sum over components built from ``alpha0``.
 
-    Builds ``(c_j, g_j)`` stage by stage and evaluates
+    Ideal (``lp`` None): Kerr split, kick ``q = -delta``, inverse final map
+    ``s = -i``. Lossy: decay ``eta``, Kerr split, decay ``xi``, displacement
+    ``q = +delta'``, decay ``eta``, forward final map ``s = +i``. Evaluates
     ``Re[s sum_ij conj(c_i) c_j <g_i|-g_j> kernel(conj(g_i) - g_j)] / (2D)`` with
-    complex ``erf``; finite only for moderate kicks.
+    complex ``erf``; finite only for moderate kicks and amplitudes.
     """
-    amps = np.array([pair.h, -pair.h])[:, None]
-    coeffs = pair.coeffs[:, None] * np.exp(1j * pair.q * amps.real)
-    coeffs, amps = apply_decay(coeffs, amps + 1j * pair.q, pair.mu)
+
+    def decay(c, g, mu):
+        return c * np.exp(0.5 * (mu * mu - 1.0) * abs(g) ** 2), mu * g
+
+    c, g = 1.0 + 0j, complex(alpha0)
+    if lp is not None:
+        c, g = decay(c, g, lp.eta)
+    coeffs = c * np.exp(-1j * math.pi / 4) / math.sqrt(2.0) * np.array([[1.0], [1j]])
+    amps = np.array([[g], [-g]])
+    if lp is not None:
+        coeffs, amps = decay(coeffs, amps, lp.xi)
+    coeffs, amps = coeffs * np.exp(1j * q * amps.real), amps + 1j * q
+    sign = -1j
+    if lp is not None:
+        coeffs, amps = decay(coeffs, amps, lp.eta)
+        sign = 1j
 
     def overlap(gi, gj):
         return np.exp(-0.5 * abs(gi) ** 2 - 0.5 * abs(gj) ** 2 + np.conj(gi) * gj)
@@ -51,8 +65,8 @@ def _interference_sum(pair):
         for i in range(2)
         for j in range(2)
     ]
-    prob = 0.5 + (pair.sign * sum(t * erf(w / math.sqrt(2.0)) for t, w in terms)).real / (2.0 * norm.real)
-    mean = (pair.sign * sum(t * w for t, w in terms)).real / (2.0 * norm.real)
+    prob = 0.5 + (sign * sum(t * erf(w / math.sqrt(2.0)) for t, w in terms)).real / (2.0 * norm.real)
+    mean = (sign * sum(t * w for t, w in terms)).real / (2.0 * norm.real)
     return prob, mean
 
 
@@ -61,9 +75,10 @@ class TestClosedForm:
         # Measured max gap: 8.9e-16 for p1, 7.5e-15 for <X> (|<X>| up to ~4).
         rng = np.random.default_rng(4)
         q = rng.normal(0.0, 1.0, 200)
+        lp = reference_params()
         for alpha0 in ALPHA0S + (0.3 - 2.0j, -1.2 + 0.7j):
-            for pair in _pipelines(alpha0, q):
-                prob, mean = _interference_sum(pair)
+            for pair, loss in zip(_pipelines(alpha0, q), (None, lp)):
+                prob, mean = _interference_sum(alpha0, q, loss)
                 assert np.max(np.abs(kicked_prob_x_positive(pair) - prob)) < 1e-14
                 assert np.max(np.abs(kicked_mean_x(pair) - mean)) < 1e-13
 
@@ -109,6 +124,19 @@ class TestLargeKicks:
             p1 = kicked_prob_x_positive(pair)
             assert np.all(np.isfinite(kicked_mean_x(pair)))
             assert np.all(np.abs(p1 - 0.5) * np.abs(kicks) <= 1.0)
+
+    @pytest.mark.parametrize(("alpha0", "eta", "xi"), [(30.0, 0.5, 0.5), (40.0, 0.6, 0.9)])
+    def test_finite_at_large_amplitude_under_heavy_loss(self, alpha0, eta, xi):
+        # The common weight |C0|^2 = e^{(eta^2-1)|alpha0|^2/2 + (xi^2-1)|eta alpha0|^2/2}
+        # underflows to 0 here; formed and divided out, it made p1 and <X> 0/0.
+        kicks = np.linspace(-3.0, 3.0, 601)
+        pair = lossy_pipeline(alpha0, kicks, eta, xi)
+        p1 = kicked_prob_x_positive(pair)
+        assert np.all((p1 >= 0.0) & (p1 <= 1.0))
+        assert np.all(np.isfinite(kicked_mean_x(pair)))
+        # At q = 0 the kicked cat reads out the lossy peak position exactly.
+        mean = kicked_mean_x(lossy_pipeline(alpha0, 0.0, eta, xi))
+        assert mean == pytest.approx(-xi * eta**2 * alpha0, rel=1e-15)
 
 
 class TestColdImport:

@@ -9,7 +9,7 @@ import pytest
 
 from kerrcat.loss import LossParams
 from kerrcat.montecarlo import ExperimentConfig, ForceSpec
-from kerrcat.protocol import ProtocolParams
+from kerrcat.protocol import PhysicalForce, ProtocolParams
 
 NAN = math.nan
 INF = math.inf
@@ -26,6 +26,11 @@ _RATES = {
 
 def _loss(**override):
     return lambda: LossParams(**{**_RATES, **override})
+
+
+def _force(**override):
+    values = {"F": 1e-18, "dt": 1e-6, "mass": 1e-15, "omega_m": 6e7}
+    return lambda: PhysicalForce(**{**values, **override})
 
 
 CASES = {
@@ -50,6 +55,12 @@ CASES = {
     "config-shots-inf": lambda: ExperimentConfig(protocol=ProtocolParams(alpha0=2.0), shots=INF),
     "config-shots-nan": lambda: ExperimentConfig(protocol=ProtocolParams(alpha0=2.0), shots=NAN),
     "config-seed-nan": lambda: ExperimentConfig(protocol=ProtocolParams(alpha0=2.0), seed=NAN),
+    "physical-force-F-nan": _force(F=NAN),
+    "physical-force-F-minus-inf": _force(F=-INF),
+    "physical-force-dt-inf": _force(dt=INF),
+    "physical-force-mass-inf": _force(mass=INF),
+    "physical-force-omega_m-nan": _force(omega_m=NAN),
+    "physical-force-omega_m-inf": _force(omega_m=INF),
 }
 
 
@@ -57,7 +68,6 @@ CASES = {
 def test_non_finite_input_is_rejected(name):
     with pytest.raises(ValueError, match="must be finite"):
         CASES[name]()
-
 
 
 def _config(**override):
@@ -83,3 +93,23 @@ def test_non_integral_count_is_rejected(name):
 def test_numpy_integers_are_accepted():
     config = ExperimentConfig(protocol=ProtocolParams(alpha0=2.0), shots=np.int64(10), seed=np.uint64(7))
     assert (config.shots, config.seed) == (10, 7)
+
+
+TRUNCATIONS = {
+    "zero": 0,
+    "negative": -5,
+    "one": 1,
+    "fraction": 30.5,
+    "whole-float": 30.0,
+    "bool": True,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRUNCATIONS))
+def test_invalid_truncation_is_rejected(name):
+    with pytest.raises(ValueError, match="truncation must be an integer of at least 2"):
+        ProtocolParams(alpha0=2.0, truncation=TRUNCATIONS[name])
+
+
+def test_numpy_integer_truncation_is_accepted():
+    assert ProtocolParams(alpha0=2.0, truncation=np.int64(40)).dim == 40

@@ -420,9 +420,16 @@ class TestSweep:
         assert rows[0].P_emission < rows[1].P_emission < rows[2].P_emission
 
     def test_shots_axis_changes_m(self):
-        rows = sweep("shots", [100, 250], ideal_config())
+        # A whole float, as the CLI parses it, is a count.
+        rows = sweep("shots", [100, 250.0], ideal_config())
         assert rows[0].estimate.M == 100
         assert rows[1].estimate.M == 250
+
+    @pytest.mark.parametrize("value", [1000.7, 50.2, math.nan, math.inf])
+    def test_shots_axis_rejects_non_integral_values(self, value):
+        # Truncating would run int(value) shots but report value as the cell.
+        with pytest.raises(ValueError, match="shots must be a whole number"):
+            sweep("shots", [value], ideal_config())
 
     def test_deterministic(self):
         base = ideal_config()
