@@ -2,7 +2,8 @@
 
 The module is I/O only. Scenario files are INI documents with sections
 ``[protocol]``, ``[loss]``, ``[force]``, and ``[run]`` whose keys mirror the
-corresponding dataclass fields. Rates in ``[loss]`` are entered in Hz
+corresponding dataclass fields; an absent key takes the field's default, and
+the dataclasses check every range. Rates in ``[loss]`` are entered in Hz
 (ordinary frequency, the way instrument settings are quoted) and converted to
 angular rates exactly once at parse time. The presence of a ``[loss]``
 section selects the lossy pipeline; ``[force]`` requires ``[loss]``. The
@@ -51,67 +52,111 @@ __all__ = ["main", "parse_scenario", "serialize_scenario", "ScenarioError"]
 
 TWO_PI = 2.0 * math.pi
 
-# Sweep axes whose values are quoted in Hz at the CLI (like the INI [loss]
-# keys) and converted to angular rates before reaching the library.
-_RATE_AXES = frozenset({"kappa", "gamma", "g", "lambda_kerr"})
-
-_SECTION_KEYS = {
-    "protocol": {"alpha0", "delta", "apply_offset", "truncation"},
-    "loss": {"kappa", "gamma", "g", "omega_m", "lambda_kerr", "temp"},
-    "force": {"shape", "amplitude", "phase", "samples"},
-    "run": {"shots", "seed", "engine"},
-}
-
 
 class ScenarioError(ValueError):
     """A scenario document is malformed (unknown key, bad value, bad combo)."""
 
 
-def _parse_complex(raw: str, context: str) -> complex:
+def _parse_complex(raw: str) -> complex:
     text = raw.strip().replace(" ", "")
     if text.startswith("(") and text.endswith(")"):
         text = text[1:-1]
-    try:
-        return complex(text)
-    except ValueError as exc:
-        raise ScenarioError(f"{context}: cannot parse complex number {raw!r}") from exc
+    return complex(text)
 
 
-def _parse_float(raw: str, context: str) -> float:
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ScenarioError(f"{context}: cannot parse number {raw!r}") from exc
-
-
-def _parse_int(raw: str, context: str) -> int:
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ScenarioError(f"{context}: cannot parse integer {raw!r}") from exc
-
-
-def _parse_bool(raw: str, context: str) -> bool:
+def _parse_bool(raw: str) -> bool:
     states = configparser.ConfigParser.BOOLEAN_STATES
     key = raw.strip().lower()
     if key not in states:
-        raise ScenarioError(f"{context}: cannot parse boolean {raw!r}")
+        raise ValueError("not a boolean")
     return states[key]
 
 
-def _parse_samples(raw: str, context: str) -> tuple[tuple[float, float], ...]:
+def _parse_samples(raw: str) -> tuple[tuple[float, float], ...]:
     pairs = []
-    for chunk in raw.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if ":" not in chunk:
-            raise ScenarioError(f"{context}: sample entries must look like time:value, got {chunk!r}")
-        t_str, f_str = chunk.split(":", 1)
-        pairs.append((_parse_float(t_str, context), _parse_float(f_str, context)))
-    if not pairs:
-        raise ScenarioError(f"{context}: empty samples table")
+    for chunk in filter(str.strip, raw.split(",")):
+        time, colon, value = chunk.partition(":")
+        if not colon:
+            raise ValueError(f"sample entries must look like time:value, got {chunk.strip()!r}")
+        pairs.append((float(time), float(value)))
     return tuple(pairs)
+
+
+def _to_hz(rad_per_s: float) -> float:
+    """Hz value whose parse reproduces the stored angular rate exactly."""
+    hz = rad_per_s / TWO_PI
+    for candidate in (hz, np.nextafter(hz, 0.0), np.nextafter(hz, math.inf)):
+        if candidate * TWO_PI == rad_per_s:
+            return float(candidate)
+    return hz
+
+
+def _fmt_complex(value: complex) -> str:
+    value = complex(value)
+    if value.imag == 0.0:
+        return repr(value.real)
+    sign = "+" if value.imag >= 0 else "-"
+    return f"{value.real!r}{sign}{abs(value.imag)!r}j"
+
+
+_FLOAT = (float, repr)
+_INT = (int, str)
+_TEXT = (str.strip, str)
+# A rate quoted in Hz (ordinary frequency) and stored in rad/s.
+_HZ = (lambda raw: TWO_PI * float(raw), lambda rate: repr(_to_hz(rate)))
+
+# The scenario format: section -> (required keys, key -> (parse, render)). The keys are the
+# dataclass fields; an absent optional key takes the dataclass default, and every range check
+# lives in the dataclass.
+_SCHEMA = {
+    "protocol": (
+        {"alpha0"},
+        {
+            "alpha0": (_parse_complex, _fmt_complex),
+            "delta": _FLOAT,
+            "apply_offset": (_parse_bool, lambda flag: str(flag).lower()),
+            "truncation": _INT,
+        },
+    ),
+    "loss": (
+        {"kappa", "gamma", "g", "omega_m", "lambda_kerr"},
+        {"kappa": _HZ, "gamma": _HZ, "g": _HZ, "omega_m": _HZ, "lambda_kerr": _HZ, "temp": _FLOAT},
+    ),
+    "force": (
+        {"shape", "amplitude"},
+        {
+            "shape": _TEXT,
+            "amplitude": _FLOAT,
+            "phase": _FLOAT,
+            "samples": (_parse_samples, lambda samples: ",".join(f"{t!r}:{f!r}" for t, f in samples)),
+        },
+    ),
+    "run": (set(), {"shots": _INT, "seed": _INT, "engine": _TEXT}),
+}
+
+# Keys (and so sweep axes) quoted in Hz at the CLI.
+_HZ_KEYS = frozenset(key for key, codec in _SCHEMA["loss"][1].items() if codec is _HZ)
+
+
+def _section(cp: configparser.ConfigParser, name: str, build, **extra):
+    """``build(**extra)`` with the keys present in section ``name``, parsed by ``_SCHEMA``."""
+    required, codecs = _SCHEMA[name]
+    section = cp[name] if cp.has_section(name) else {}
+    for key in codecs:
+        if key in required and key not in section:
+            raise ScenarioError(f"[{name}] is missing the required key {key!r}")
+    values = {}
+    for key, raw in section.items():
+        try:
+            values[key] = codecs[key][0](raw)
+        except ValueError as exc:
+            raise ScenarioError(f"[{name}] {key}: cannot parse {raw!r} ({exc})") from exc
+    try:
+        return build(**values, **extra)
+    except OverdampedTransferError:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(f"[{name}]: {exc}") from exc
 
 
 def parse_scenario(text: str) -> ExperimentConfig:
@@ -127,87 +172,22 @@ def parse_scenario(text: str) -> ExperimentConfig:
         raise ScenarioError(f"scenario is not valid INI: {exc}") from exc
 
     for section in cp.sections():
-        if section not in _SECTION_KEYS:
+        if section not in _SCHEMA:
             raise ScenarioError(f"unknown section [{section}]")
         for key in cp[section]:
-            if key not in _SECTION_KEYS[section]:
+            if key not in _SCHEMA[section][1]:
                 raise ScenarioError(f"unknown key {key!r} in section [{section}]")
 
     if not cp.has_section("protocol"):
         raise ScenarioError("missing required section [protocol]")
-    proto = cp["protocol"]
-    if "alpha0" not in proto:
-        raise ScenarioError("[protocol] is missing the required key 'alpha0'")
-    truncation = None
-    if "truncation" in proto:
-        truncation = _parse_int(proto["truncation"], "[protocol] truncation")
-    try:
-        protocol = ProtocolParams(
-            alpha0=_parse_complex(proto["alpha0"], "[protocol] alpha0"),
-            delta=_parse_float(proto.get("delta", "0"), "[protocol] delta"),
-            apply_offset=_parse_bool(proto.get("apply_offset", "false"), "[protocol] apply_offset"),
-            truncation=truncation,
-        )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(f"[protocol]: {exc}") from exc
-
-    loss = None
-    if cp.has_section("loss"):
-        section = cp["loss"]
-        values = {}
-        for key in ("kappa", "gamma", "g", "omega_m", "lambda_kerr"):
-            if key not in section:
-                raise ScenarioError(f"[loss] is missing the required key {key!r}")
-            hz = _parse_float(section[key], f"[loss] {key}")
-            if hz < 0.0:
-                raise ScenarioError(f"[loss] {key} must be non-negative, got {hz:g}")
-            values[key] = TWO_PI * hz
-        temp = _parse_float(section.get("temp", "0"), "[loss] temp")
-        if temp < 0.0:
-            raise ScenarioError(f"[loss] temp must be non-negative, got {temp:g}")
-        try:
-            loss = LossParams(temp=temp, **values)
-        except OverdampedTransferError:
-            raise
-        except ValueError as exc:
-            raise ScenarioError(f"[loss]: {exc}") from exc
-
+    protocol = _section(cp, "protocol", ProtocolParams)
+    loss = _section(cp, "loss", LossParams) if cp.has_section("loss") else None
     force_spec = None
     if cp.has_section("force"):
         if loss is None:
             raise ScenarioError("[force] requires a [loss] section (the kick filter is defined by the swap)")
-        section = cp["force"]
-        if "shape" not in section or "amplitude" not in section:
-            raise ScenarioError("[force] requires the keys 'shape' and 'amplitude'")
-        samples = None
-        if "samples" in section:
-            samples = _parse_samples(section["samples"], "[force] samples")
-        try:
-            force_spec = ForceSpec(
-                shape=section["shape"].strip(),
-                amplitude=_parse_float(section["amplitude"], "[force] amplitude"),
-                phase=_parse_float(section.get("phase", "0"), "[force] phase"),
-                samples=samples,
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"[force]: {exc}") from exc
-
-    run = cp["run"] if cp.has_section("run") else {}
-    try:
-        return ExperimentConfig(
-            protocol=protocol,
-            loss=loss,
-            force_spec=force_spec,
-            shots=_parse_int(run.get("shots", "10000"), "[run] shots"),
-            seed=_parse_int(run.get("seed", "0"), "[run] seed"),
-            engine=run.get("engine", "analytic").strip(),
-        )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(f"[run]: {exc}") from exc
+        force_spec = _section(cp, "force", ForceSpec)
+    return _section(cp, "run", ExperimentConfig, protocol=protocol, loss=loss, force_spec=force_spec)
 
 
 def load_scenario(path: str) -> ExperimentConfig:
@@ -219,49 +199,15 @@ def load_scenario(path: str) -> ExperimentConfig:
     return parse_scenario(text)
 
 
-def _to_hz(rad_per_s: float) -> float:
-    """Hz value whose parse reproduces the stored angular rate exactly."""
-    hz = rad_per_s / TWO_PI
-    for candidate in (hz, np.nextafter(hz, 0.0), np.nextafter(hz, math.inf)):
-        if candidate * TWO_PI == rad_per_s:
-            return float(candidate)
-    return hz
-
-
-def _fmt_complex(value: complex) -> str:
-    if value.imag == 0.0:
-        return repr(value.real)
-    sign = "+" if value.imag >= 0 else "-"
-    return f"{value.real!r}{sign}{abs(value.imag)!r}j"
-
-
 def serialize_scenario(config: ExperimentConfig) -> str:
     """Render a config back into scenario INI text (inverse of parse)."""
     cp = configparser.ConfigParser()
-    p = config.protocol
-    cp["protocol"] = {
-        "alpha0": _fmt_complex(complex(p.alpha0)),
-        "delta": repr(p.delta),
-        "apply_offset": "true" if p.apply_offset else "false",
-    }
-    if p.truncation is not None:
-        cp["protocol"]["truncation"] = str(p.truncation)
-    if config.loss is not None:
-        lp = config.loss
-        cp["loss"] = {
-            "kappa": repr(_to_hz(lp.kappa)),
-            "gamma": repr(_to_hz(lp.gamma)),
-            "g": repr(_to_hz(lp.g)),
-            "omega_m": repr(_to_hz(lp.omega_m)),
-            "lambda_kerr": repr(_to_hz(lp.lambda_kerr)),
-            "temp": repr(lp.temp),
-        }
-    if config.force_spec is not None:
-        fs = config.force_spec
-        cp["force"] = {"shape": fs.shape, "amplitude": repr(fs.amplitude), "phase": repr(fs.phase)}
-        if fs.samples is not None:
-            cp["force"]["samples"] = ",".join(f"{t!r}:{f!r}" for t, f in fs.samples)
-    cp["run"] = {"shots": str(config.shots), "seed": str(config.seed), "engine": config.engine}
+    sources = {"protocol": config.protocol, "loss": config.loss, "force": config.force_spec, "run": config}
+    for name, source in sources.items():
+        if source is not None:
+            codecs = _SCHEMA[name][1]
+            values = {key: getattr(source, key) for key in codecs}
+            cp[name] = {key: codecs[key][1](value) for key, value in values.items() if value is not None}
     out = io.StringIO()
     cp.write(out)
     return out.getvalue()
@@ -344,7 +290,7 @@ def sweep_cmd(config_path, axis, values, out_path, fmt, seed, shots, engine) -> 
     if not parsed_values:
         raise click.UsageError("sweep needs at least one value")
     # Rate axes are quoted in Hz at the CLI, like the INI [loss] keys.
-    scale = TWO_PI if axis in _RATE_AXES else 1.0
+    scale = TWO_PI if axis in _HZ_KEYS else 1.0
     rows = run_sweep(axis, [scale * v for v in parsed_values], base)
 
     columns = ["axis_value", "m_counts", "M", "S", "sigma_S", "S_analytic", "P_emission", "seed"]

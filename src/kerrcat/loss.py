@@ -93,7 +93,7 @@ def swap_parameters(kappa: float, gamma: float, g: float) -> tuple[float, float,
         If ``g <= (kappa+gamma)/4`` (no oscillatory swap exists).
     """
     if kappa < 0.0 or gamma < 0.0 or g <= 0.0:
-        raise ValueError("rates must satisfy kappa >= 0, gamma >= 0, g > 0")
+        raise ValueError("kappa and gamma must be non-negative and g positive")
     big_gamma = (kappa + gamma) / 4.0
     if g <= big_gamma:
         raise OverdampedTransferError(

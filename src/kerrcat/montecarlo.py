@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import ndtri, roots_hermite
 
 from kerrcat._coherent import ideal_pipeline, kicked_prob_x_positive, lossy_pipeline
-from kerrcat.fock import prob_quadrature_positive, require_finite
+from kerrcat.fock import default_truncation, prob_quadrature_positive, require_finite
 from kerrcat.loss import (
     KickStats,
     LossParams,
@@ -247,14 +247,18 @@ def _kick_average(stats: KickStats, config: ExperimentConfig) -> float:
 
 
 def _p1_brute_force(delta_prime: float, config: ExperimentConfig) -> float:
-    """Outcome probability from the truncated number-basis pipeline."""
+    """Outcome probability from the truncated number-basis pipeline.
+
+    Without an explicit truncation the space is sized for the kicked
+    amplitude ``|alpha0| + |total kick|``, not for ``|alpha0|`` alone.
+    """
     p = config.protocol
+    total = float(_total_kick(float(delta_prime), config))
+    N = p.truncation if p.truncation is not None else default_truncation(abs(complex(p.alpha0)) + abs(total))
     if config.loss is None:
-        params = dataclasses.replace(p, delta=float(delta_prime))
-        psi = run_ideal(params)
+        psi = run_ideal(dataclasses.replace(p, delta=float(delta_prime), truncation=N))
     else:
-        total = float(_total_kick(float(delta_prime), config))
-        psi = run_lossy_trajectory(p.alpha0, total, config.loss, N=p.truncation)
+        psi = run_lossy_trajectory(p.alpha0, total, config.loss, N=N)
     return float(np.clip(prob_quadrature_positive(psi), 0.0, 1.0))
 
 
@@ -314,7 +318,8 @@ def _kick_stats(config: ExperimentConfig) -> KickStats:
 def _emission_prob(config: ExperimentConfig) -> float:
     if config.loss is None:
         return 0.0
-    return float(np.clip(emission_probability(config.protocol.alpha, config.loss), 0.0, 1.0))
+    # Photons leak at kappa*<n> = kappa*|alpha0|^2.
+    return float(np.clip(emission_probability(abs(complex(config.protocol.alpha0)), config.loss), 0.0, 1.0))
 
 
 def _cell_inputs(config: ExperimentConfig) -> tuple[KickStats, float, float | None]:
@@ -409,7 +414,9 @@ def _predict(config: ExperimentConfig, stats: KickStats, p_emit: float, p1=None)
 
 def _apply_axis(base: ExperimentConfig, axis: str, value) -> ExperimentConfig:
     if axis == "alpha":
-        protocol = dataclasses.replace(base.protocol, alpha0=complex(float(value)))
+        # The axis sets Re alpha0; Im alpha0 stays that of the base scenario.
+        alpha0 = complex(float(value), complex(base.protocol.alpha0).imag)
+        protocol = dataclasses.replace(base.protocol, alpha0=alpha0)
         return dataclasses.replace(base, protocol=protocol)
     if axis == "delta":
         protocol = dataclasses.replace(base.protocol, delta=float(value))

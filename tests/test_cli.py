@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import re
 import warnings
 
 import pytest
@@ -11,8 +13,8 @@ from click.testing import CliRunner
 
 from _support import TWO_PI
 from kerrcat.cli import ScenarioError, default_config, main, parse_scenario, serialize_scenario
-from kerrcat import montecarlo
-from kerrcat.loss import momentum_kick_stats, reference_loss_params
+from kerrcat import cli, montecarlo
+from kerrcat.loss import LossParams, momentum_kick_stats, reference_loss_params
 from kerrcat.montecarlo import ExperimentConfig, ForceSpec
 from kerrcat.protocol import ProtocolParams
 from kerrcat.validation import validation_rows
@@ -59,6 +61,8 @@ g = 100e3
 omega_m = 10e6
 lambda_kerr = 7e6
 """
+
+SAMPLED_FORCE = LOSSY_SCENARIO + "[force]\nshape = custom-samples\namplitude = 1\n"
 
 
 class TestParseScenario:
@@ -135,6 +139,39 @@ class TestParseScenario:
         )
         cfg = parse_scenario(text)
         assert cfg.force_spec.samples == ((0.0, 0.0), (1e-7, 2.5), (2e-7, 0.0))
+
+    def test_schema_keys_are_the_dataclass_fields(self):
+        # A new dataclass field cannot be left out of scenario files.
+        def keys(cls, exclude=()):
+            fields = [f for f in dataclasses.fields(cls) if f.init and f.name not in exclude]
+            no_default = dataclasses.MISSING
+            required = {f.name for f in fields if f.default is no_default and f.default_factory is no_default}
+            return required, {f.name for f in fields}
+
+        expected = {
+            "protocol": keys(ProtocolParams),
+            "loss": keys(LossParams),
+            "force": keys(ForceSpec),
+            "run": keys(ExperimentConfig, exclude=("protocol", "loss", "force_spec")),
+        }
+        assert {name: (required, set(codecs)) for name, (required, codecs) in cli._SCHEMA.items()} == expected
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            (SAMPLED_FORCE + "samples = ,\n", "[force]"),
+            (SAMPLED_FORCE + "samples = 0:0, 1\n", "[force] samples"),
+            (IDEAL_SCENARIO.replace("= true", "= maybe"), "[protocol] apply_offset"),
+            (LOSSY_SCENARIO + "[force]\nshape = constant\n", "[force]"),
+            (LOSSY_SCENARIO.replace("temp = 0.0", "temp = -1"), "[loss]"),
+            (IDEAL_SCENARIO.replace("delta", "truncation = 2.5\ndelta"), "[protocol] truncation"),
+        ],
+        ids=["empty-samples", "sample-without-colon", "bad-boolean", "missing-amplitude", "negative-temp",
+             "fractional-truncation"],
+    )
+    def test_malformed_value_names_its_section(self, text, where):
+        with pytest.raises(ScenarioError, match=re.escape(where)):
+            parse_scenario(text)
 
 
 class TestSerializeScenario:

@@ -2,8 +2,10 @@
 
 The brute-force engine builds the final state in the truncated number basis
 and reads ``Prob(X > 0)`` off its amplitudes through the half-line Hermite
-overlaps; the analytic engine evaluates the closed form. On the box below
-their measured gap is at most 5.6e-16.
+overlaps; the analytic engine evaluates the closed form. The box below
+includes the working-point offset, which at small |alpha0| under loss makes
+the total kick larger than |alpha0|; the brute-force engine sizes its
+truncation for the kicked amplitude, and the measured gap is at most 5.6e-16.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ losses = st.one_of(
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(alpha0=alpha0s, delta=kicks, loss=losses)
-def test_analytic_matches_brute_force(alpha0, delta, loss):
-    config = ExperimentConfig(protocol=ProtocolParams(alpha0=alpha0), loss=loss)
+@given(alpha0=alpha0s, delta=kicks, loss=losses, offset=st.booleans())
+def test_analytic_matches_brute_force(alpha0, delta, loss, offset):
+    config = ExperimentConfig(protocol=ProtocolParams(alpha0=alpha0, apply_offset=offset), loss=loss)
     analytic = outcome_probability(delta, config)
     brute = outcome_probability(delta, dataclasses.replace(config, engine="brute-force"))
     assert abs(analytic - brute) < TOL

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 import tracemalloc
@@ -338,6 +339,14 @@ class TestPrediction:
         s_analytic, _ = predicted_signal(self._config(2.5, temp))
         assert abs(estimate.S - s_analytic) < 5.0 * estimate.sigma_S
 
+    @pytest.mark.parametrize("phase", [0.3, 1.2, math.pi / 2, 2.5])
+    def test_emission_probability_uses_the_modulus_of_alpha0(self, phase):
+        # Photons leak at kappa*|alpha0|^2, so P does not depend on arg alpha0.
+        protocol = ProtocolParams(alpha0=1.5 * cmath.exp(1j * phase), apply_offset=False)
+        _, p_emit = predicted_signal(lossy_config(protocol=protocol))
+        _, p_real = predicted_signal(lossy_config(protocol=ProtocolParams(alpha0=1.5)))
+        assert p_emit == pytest.approx(p_real, rel=1e-14)
+
     def test_warns_when_the_average_does_not_converge(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_MAX_HERMITE_NODES", 64)
         with pytest.warns(UserWarning, match="did not converge"):
@@ -411,6 +420,12 @@ class TestSweep:
         rows = sweep("alpha", [1.0, 1.5, 2.0], base)
         magnitudes = [abs(row.S_analytic) for row in rows]
         assert magnitudes[0] < magnitudes[1] < magnitudes[2]
+
+    def test_alpha_axis_keeps_the_imaginary_part(self):
+        protocol = ProtocolParams(alpha0=1.5 + 0.3j, delta=0.01, apply_offset=True)
+        base = ideal_config(protocol=protocol, shots=100)
+        cell = dataclasses.replace(base, protocol=dataclasses.replace(base.protocol, alpha0=2.0 + 0.3j))
+        assert sweep("alpha", [2.0], base)[0].estimate == run_experiment(cell)
 
     def test_kappa_sweep_increases_emission(self):
         lp = reference_params()
