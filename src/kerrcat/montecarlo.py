@@ -154,10 +154,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown engine {self.engine!r}; expected 'analytic' or 'brute-force'")
         if self.force_spec is not None and self.loss is None:
             raise ValueError("a force waveform requires the loss model")
-        if self.engine == "brute-force" and self.protocol.dim > MAX_BRUTE_FORCE_DIM:
-            raise ValueError(
-                f"brute-force engine needs truncation <= {MAX_BRUTE_FORCE_DIM}, got {self.protocol.dim}"
-            )
+        if self.engine == "brute-force":
+            _brute_force_dim(self)
 
 
 @dataclass(frozen=True)
@@ -246,20 +244,41 @@ def _kick_average(stats: KickStats, config: ExperimentConfig) -> float:
     return estimate
 
 
-def _p1_brute_force(delta_prime: float, config: ExperimentConfig) -> float:
-    """Outcome probability from the truncated number-basis pipeline.
+def _brute_force_dim(config: ExperimentConfig, kick_bound: float = 0.0) -> int:
+    """Number-basis dimension of brute-force states whose total kicks are at most ``kick_bound``.
 
-    Without an explicit truncation the space is sized for the kicked
-    amplitude ``|alpha0| + |total kick|``, not for ``|alpha0|`` alone.
+    An explicit truncation is used as given; otherwise the space is sized for
+    the kicked amplitude ``|alpha0| + kick_bound``. Raises ``ValueError``
+    above ``MAX_BRUTE_FORCE_DIM``.
     """
     p = config.protocol
-    total = float(_total_kick(float(delta_prime), config))
-    N = p.truncation if p.truncation is not None else default_truncation(abs(complex(p.alpha0)) + abs(total))
-    if config.loss is None:
-        psi = run_ideal(dataclasses.replace(p, delta=float(delta_prime), truncation=N))
-    else:
-        psi = run_lossy_trajectory(p.alpha0, total, config.loss, N=N)
-    return float(np.clip(prob_quadrature_positive(psi), 0.0, 1.0))
+    amplitude = abs(complex(p.alpha0)) + kick_bound
+    N = p.truncation if p.truncation is not None else default_truncation(amplitude)
+    if N > MAX_BRUTE_FORCE_DIM:
+        raise ValueError(
+            f"brute-force engine needs truncation <= {MAX_BRUTE_FORCE_DIM}, got {N} "
+            f"(|alpha0| + largest total kick = {amplitude:.4g})"
+        )
+    return N
+
+
+def _p1_brute_force(delta_prime: np.ndarray, config: ExperimentConfig) -> np.ndarray:
+    """Outcome probabilities from the truncated number-basis pipeline, one state per kick.
+
+    The kicks of one batch share one dimension, sized for the largest total
+    kick, so a batch builds at most one set of dimension-dependent tables.
+    """
+    p = config.protocol
+    total = np.asarray(_total_kick(delta_prime, config))
+    N = _brute_force_dim(config, float(np.max(np.abs(total), initial=0.0)))
+    p1 = np.empty(delta_prime.shape)
+    for i, (kick, kicked) in enumerate(zip(delta_prime.flat, total.flat)):
+        if config.loss is None:
+            psi = run_ideal(dataclasses.replace(p, delta=float(kick), truncation=N))
+        else:
+            psi = run_lossy_trajectory(p.alpha0, float(kicked), config.loss, N=N)
+        p1.flat[i] = prob_quadrature_positive(psi)
+    return np.clip(p1, 0.0, 1.0)
 
 
 def outcome_probability(delta_prime, config: ExperimentConfig):
@@ -272,12 +291,9 @@ def outcome_probability(delta_prime, config: ExperimentConfig):
     (vectorized in the analytic engine, looped over kicks in brute force).
     """
     arr = np.asarray(delta_prime, dtype=float)
-    if config.engine == "analytic":
-        result = _p1_analytic(arr, config)
-        return float(result) if arr.ndim == 0 else result
-    if arr.ndim == 0:
-        return _p1_brute_force(float(arr), config)
-    return np.array([_p1_brute_force(float(v), config) for v in arr.ravel()]).reshape(arr.shape)
+    engine = _p1_analytic if config.engine == "analytic" else _p1_brute_force
+    result = engine(arr, config)
+    return float(result) if arr.ndim == 0 else result
 
 
 def coin_bias_from_signal(signal: float, peak: float) -> float:

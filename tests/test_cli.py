@@ -440,6 +440,14 @@ class TestCommands:
         assert "shots must be a whole number" in result.output
         assert not out.exists()
 
+    def test_brute_force_kick_beyond_the_cap_exits_two(self, tmp_path):
+        path = tmp_path / "kicked.ini"
+        path.write_text(IDEAL_SCENARIO.replace("delta = 0.01", "delta = 100"))
+        result = self.runner.invoke(main, ["shots", "--config", str(path), "--engine", "brute-force"])
+        assert result.exit_code == 2
+        assert "truncation <= 160" in result.output
+        assert "Traceback" not in result.output
+
     def test_shots_deterministic_output(self):
         first = self.runner.invoke(main, ["shots", "--shots", "300", "--seed", "5"])
         second = self.runner.invoke(main, ["shots", "--shots", "300", "--seed", "5"])

@@ -184,6 +184,37 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="truncation"):
             ExperimentConfig(protocol=ProtocolParams(alpha0=12.0), engine="brute-force")
 
+    @pytest.mark.parametrize(
+        "protocol",
+        [
+            ProtocolParams(alpha0=2.0, delta=100.0, apply_offset=False),
+            # The offset pi/(8 Re alpha0) is huge for a nearly imaginary alpha0.
+            ProtocolParams(alpha0=1e-4 + 1.0j, delta=0.0, apply_offset=True),
+        ],
+    )
+    def test_brute_force_cap_covers_the_kick(self, protocol):
+        # The default truncation is sized for |alpha0| + |total kick|; the cap
+        # rejects it before any state is built.
+        config = ExperimentConfig(protocol=protocol, shots=10, engine="brute-force")
+        with pytest.raises(ValueError, match="truncation <= 160"):
+            run_experiment(config)
+        with pytest.raises(ValueError, match="truncation <= 160"):
+            outcome_probability(protocol.delta, config)
+
+    def test_brute_force_thermal_batch_shares_one_dimension(self, monkeypatch):
+        dims = []
+        read_out = montecarlo.prob_quadrature_positive
+
+        def spy(psi):
+            dims.append(psi.dim)
+            return read_out(psi)
+
+        config = lossy_config(loss=reference_params(temp=30.0), shots=50, engine="brute-force")
+        monkeypatch.setattr(montecarlo, "prob_quadrature_positive", spy)
+        run_experiment(config)
+        assert len(dims) == 50
+        assert len(set(dims)) == 1
+
     def test_force_spec_validation(self):
         with pytest.raises(ValueError):
             ForceSpec(shape="triangle", amplitude=1.0)
