@@ -7,7 +7,7 @@ The package is organized in six layers:
 - :mod:`kerrcat.protocol` — the ideal (lossless) measurement pipeline and its
   closed-form expectations, offset linearization, and coin-estimation signal.
 - :mod:`kerrcat.loss` — the lossy/thermal model: swap-transfer parameters,
-  momentum-kick statistics, two-mode loss channel, non-unitary propagators,
+  momentum-kick statistics, two-mode loss channel, no-emission propagators,
   emission trajectories, and closed-form lossy signals.
 - :mod:`kerrcat.montecarlo` — shot-level simulation: thermal kick sampling,
   outcome probabilities (analytic or brute-force engines), experiments,
@@ -52,11 +52,11 @@ from kerrcat.loss import (
     emission_probability,
     full_signal,
     loss_channel,
-    lossy_kerr_propagator,
     lossy_offset,
     mean_X_lossy,
     mean_X_lossy_linearized,
     momentum_kick_stats,
+    no_emission_diagonal,
     reference_loss_params,
     run_lossy_trajectory,
     single_emission_state,
@@ -107,11 +107,11 @@ __all__ = [
     "emission_probability",
     "full_signal",
     "loss_channel",
-    "lossy_kerr_propagator",
     "lossy_offset",
     "mean_X_lossy",
     "mean_X_lossy_linearized",
     "momentum_kick_stats",
+    "no_emission_diagonal",
     "reference_loss_params",
     "run_lossy_trajectory",
     "single_emission_state",

@@ -37,9 +37,11 @@ __all__ = [
     "ladder_ops",
     "kerr_unitary",
     "force_kick",
+    "apply_kicks",
     "quadrature_distribution",
     "mean_quadrature",
     "prob_quadrature_positive",
+    "prob_positive_columns",
     "fidelity",
 ]
 
@@ -112,18 +114,10 @@ class FockOperator:
         Matrix entries; read-only.
     dim : int
         Truncation dimension ``N``.
-    kind : str
-        Structural contract the operator is built to satisfy:
-        ``"unitary"`` (O^dag O = I), ``"contraction"`` (singular values
-        <= 1), ``"hermitian"`` (O = O^dag), or ``"general"`` (no contract;
-        e.g. bare ladder operators, which satisfy none of the above).
     """
 
     entries: np.ndarray
     dim: int
-    kind: str = "unitary"
-
-    _KINDS = ("unitary", "contraction", "hermitian", "general")
 
     def __post_init__(self) -> None:
         mat = np.asarray(self.entries, dtype=complex)
@@ -131,20 +125,17 @@ class FockOperator:
             raise ValueError("entries must be a square matrix")
         if self.dim != mat.shape[0]:
             raise ValueError("dim must match the matrix size")
-        if self.kind not in self._KINDS:
-            raise ValueError(f"kind must be one of {self._KINDS}")
         object.__setattr__(self, "entries", _readonly(mat))
 
     @property
     def dagger(self) -> "FockOperator":
-        """Conjugate transpose, preserving the kind tag."""
-        return FockOperator(self.entries.conj().T, self.dim, self.kind)
+        """Conjugate transpose."""
+        return FockOperator(self.entries.conj().T, self.dim)
 
     def __matmul__(self, other):
         if isinstance(other, FockOperator):
             _check_same_dim(self.dim, other.dim)
-            kind = _compose_kinds(self.kind, other.kind)
-            return FockOperator(self.entries @ other.entries, self.dim, kind)
+            return FockOperator(self.entries @ other.entries, self.dim)
         if isinstance(other, FockVector):
             _check_same_dim(self.dim, other.dim)
             return FockVector(self.entries @ other.amplitudes, self.dim)
@@ -154,23 +145,6 @@ class FockOperator:
         """``<psi|O|psi>`` (the state need not be normalized)."""
         _check_same_dim(self.dim, psi.dim)
         return complex(np.vdot(psi.amplitudes, self.entries @ psi.amplitudes))
-
-    def kind_defect(self) -> float:
-        """How far the matrix is from honoring its kind tag.
-
-        Returns the max-entry norm of ``O^dag O - I`` for unitaries, the
-        excess of the largest singular value over 1 for contractions, and
-        the max-entry norm of ``O - O^dag`` for hermitian operators.
-        """
-        if self.kind == "unitary":
-            gram = self.entries.conj().T @ self.entries
-            return float(np.max(np.abs(gram - np.eye(self.dim))))
-        if self.kind == "contraction":
-            top = float(np.linalg.norm(self.entries, ord=2))
-            return max(0.0, top - 1.0)
-        if self.kind == "hermitian":
-            return float(np.max(np.abs(self.entries - self.entries.conj().T)))
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -201,18 +175,10 @@ def _check_same_dim(d1: int, d2: int) -> None:
 
 
 def require_finite(owner: str, **values) -> None:
-    """Raise ``ValueError`` naming the first NaN or infinite value."""
+    """Raise ``ValueError`` naming the first NaN or infinite value; an ``int`` of any size is finite."""
     for name, value in values.items():
-        if not cmath.isfinite(value):
+        if not isinstance(value, int) and not cmath.isfinite(value):
             raise ValueError(f"{owner}.{name} must be finite, got {value!r}")
-
-
-def _compose_kinds(k1: str, k2: str) -> str:
-    if k1 == k2 == "unitary":
-        return "unitary"
-    if k1 in ("unitary", "contraction") and k2 in ("unitary", "contraction"):
-        return "contraction"
-    return "general"
 
 
 def default_truncation(alpha: complex) -> int:
@@ -260,16 +226,10 @@ def ladder_ops(N: int) -> tuple[FockOperator, FockOperator, FockOperator]:
     """Annihilation, creation, and number operators ``(a, a_dag, n_op)``."""
     if N < 2:
         raise ValueError("N must be at least 2")
-    a = np.zeros((N, N), dtype=complex)
-    idx = np.arange(1, N)
-    a[idx - 1, idx] = np.sqrt(idx)
+    a = np.diag(np.sqrt(np.arange(1.0, N)), 1).astype(complex)
     a_dag = a.conj().T
     n_op = a_dag @ a
-    return (
-        FockOperator(a, N, "general"),
-        FockOperator(a_dag, N, "general"),
-        FockOperator(n_op, N, "hermitian"),
-    )
+    return FockOperator(a, N), FockOperator(a_dag, N), FockOperator(n_op, N)
 
 
 def kerr_unitary(theta: float, N: int) -> FockOperator:
@@ -280,16 +240,14 @@ def kerr_unitary(theta: float, N: int) -> FockOperator:
     at ``theta = pi`` it flips the sign of a coherent amplitude.
     """
     n = np.arange(N)
-    return FockOperator(np.diag(np.exp(-1j * theta * n.astype(float) ** 2)), N, "unitary")
+    return FockOperator(np.diag(np.exp(-1j * theta * n.astype(float) ** 2)), N)
 
 
 @lru_cache(maxsize=32)
 def _quadrature_eigensystem(N: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigen-decomposition of ``a + a_dag`` (cached per dimension)."""
-    a = np.zeros((N, N), dtype=complex)
-    idx = np.arange(1, N)
-    a[idx - 1, idx] = np.sqrt(idx)
-    evals, evecs = np.linalg.eigh(a + a.conj().T)
+    a, a_dag, _ = ladder_ops(N)
+    evals, evecs = np.linalg.eigh(a.entries + a_dag.entries)
     evals.setflags(write=False)
     evecs.setflags(write=False)
     return evals, evecs
@@ -305,7 +263,20 @@ def force_kick(delta: float, N: int) -> FockOperator:
     """
     evals, evecs = _quadrature_eigensystem(N)
     phases = np.exp(-1j * delta * evals)
-    return FockOperator((evecs * phases) @ evecs.conj().T, N, "unitary")
+    return FockOperator((evecs * phases) @ evecs.conj().T, N)
+
+
+def apply_kicks(before: np.ndarray, q, after: np.ndarray) -> np.ndarray:
+    """Amplitudes ``after * exp(i*q*(a + a_dag)) before``, one column per kick in ``q``.
+
+    ``before`` (the state entering the kick) and ``after`` (the diagonal of
+    the stage that follows it) have length ``N``. The kick is ``V e^{i q lam} V^dag``
+    in the cached eigenbasis of ``a + a_dag``, so no ``N x N`` propagator is
+    built; ``q = -delta`` is ``force_kick(delta)``.
+    """
+    evals, evecs = _quadrature_eigensystem(before.shape[0])
+    phases = np.exp(1j * np.multiply.outer(evals, np.ravel(q)))
+    return after[:, None] * (evecs @ (phases * (evecs.conj().T @ before)[:, None]))
 
 
 @lru_cache(maxsize=8)
@@ -384,10 +355,19 @@ def mean_quadrature(psi: FockVector) -> float:
 
 
 def prob_quadrature_positive(psi: FockVector) -> float:
-    """``Prob(X > 0) = c^dag I c / |c|^2`` from the half-line Hermite overlaps."""
-    overlaps = _half_line_overlaps(psi.dim)
-    re, im = psi.amplitudes.real, psi.amplitudes.imag
-    return float((re @ overlaps @ re + im @ overlaps @ im) / psi.norm**2)
+    """``Prob(X > 0)`` of a state; see :func:`prob_positive_columns`."""
+    return float(prob_positive_columns(psi.amplitudes))
+
+
+def prob_positive_columns(amplitudes: np.ndarray) -> np.ndarray:
+    """``Prob(X > 0) = c^dag I c / |c|^2`` of each column ``c`` of ``amplitudes``.
+
+    ``I`` holds the exact half-line Hermite overlaps. A one-dimensional
+    array is one state and gives a scalar.
+    """
+    overlaps = _half_line_overlaps(amplitudes.shape[0])
+    re, im = amplitudes.real, amplitudes.imag
+    return np.sum(re * (overlaps @ re) + im * (overlaps @ im), axis=0) / np.sum(re * re + im * im, axis=0)
 
 
 def fidelity(psi: FockVector, phi: FockVector) -> float:

@@ -42,7 +42,7 @@ from kerrcat.constants import hbar, k_boltzmann
 from kerrcat.fock import (
     FockOperator,
     FockVector,
-    _quadrature_eigensystem,
+    apply_kicks,
     coherent_state,
     default_truncation,
     force_kick,
@@ -60,8 +60,9 @@ __all__ = [
     "momentum_kick_stats",
     "loss_channel",
     "two_mode_conditional_mean",
-    "lossy_kerr_propagator",
+    "no_emission_diagonal",
     "single_emission_state",
+    "lossy_stages",
     "run_lossy_trajectory",
     "mean_X_lossy",
     "mean_X_lossy_linearized",
@@ -316,7 +317,7 @@ def loss_channel(lp: LossParams, delta_prime: float, N: int) -> FockOperator:
         raise ValueError("N must be at least 2")
     splitter = _beam_splitter(math.acos(min(lp.xi, 1.0)), N)
     displaced = force_kick(-delta_prime, N).entries @ splitter.reshape(N, N**3)
-    return FockOperator(displaced.reshape(N * N, N * N), N * N, "unitary")
+    return FockOperator(displaced.reshape(N * N, N * N), N * N)
 
 
 def two_mode_conditional_mean(alpha: float, delta_prime: float, lp: LossParams, N: int = 24) -> float:
@@ -328,32 +329,25 @@ def two_mode_conditional_mean(alpha: float, delta_prime: float, lp: LossParams, 
     normalized system state. This is the independent number-basis reference
     for ``mean_X_lossy``.
     """
-    w = np.kron(lossy_kerr_propagator(math.pi / 2.0, lp, N).entries, np.eye(N))
-    channel = loss_channel(lp, delta_prime, N).entries
-    vac = np.zeros(N)
-    vac[0] = 1.0
-    psi = w @ (channel @ (w @ np.kron(coherent_state(alpha, N).amplitudes, vac)))
-    cond = psi.reshape(N, N)[:, 0]
+    w = no_emission_diagonal(math.pi / 2.0, lp, N)
+    start = np.kron(w * coherent_state(alpha, N).amplitudes, np.eye(N)[0])
+    psi = loss_channel(lp, delta_prime, N).entries @ start
+    # Auxiliary level 0 is column 0 of the (system, auxiliary) grid; W (x) I scales its system levels.
+    cond = w * psi.reshape(N, N)[:, 0]
     return mean_quadrature(FockVector(cond / np.linalg.norm(cond), N))
 
 
-def _no_emission_diagonal(theta: float, lp: LossParams, N: int) -> np.ndarray:
-    """Diagonal of ``lossy_kerr_propagator(theta)``: Kerr phases times decay."""
-    t = theta / lp.lambda_kerr
-    levels = np.arange(N)
-    return np.exp(-1j * theta * levels.astype(float) ** 2) * np.exp(-lp.kappa * t * levels / 2.0)
-
-
-def lossy_kerr_propagator(theta: float, lp: LossParams, N: int) -> FockOperator:
-    """No-emission Kerr propagator ``W(theta) = U(theta) * exp(-kappa*t*n/2)``.
+def no_emission_diagonal(theta: float, lp: LossParams, N: int) -> np.ndarray:
+    """Diagonal of the no-emission Kerr propagator ``W(theta) = U(theta) * exp(-kappa*t*n/2)``.
 
     ``theta`` is the accumulated Kerr angle ``lambda_kerr * t``; the decay
     factor uses the corresponding duration ``t = theta/lambda_kerr``. The
     squared norm of ``W|psi>`` is the probability that no photon was emitted
     during the stage.
     """
-    kind = "unitary" if lp.kappa * (theta / lp.lambda_kerr) == 0.0 else "contraction"
-    return FockOperator(np.diag(_no_emission_diagonal(theta, lp, N)), N, kind)
+    t = theta / lp.lambda_kerr
+    levels = np.arange(N)
+    return np.exp(-1j * theta * levels.astype(float) ** 2) * np.exp(-lp.kappa * t * levels / 2.0)
 
 
 def single_emission_state(
@@ -379,13 +373,30 @@ def single_emission_state(
     if not 0.0 <= t_emit <= t_total:
         raise ValueError("t_emit must lie within the stage duration")
     theta = lp.lambda_kerr * t_emit
-    psi = _no_emission_diagonal(theta, lp, N) * coherent_state(alpha0, N).amplitudes
+    psi = no_emission_diagonal(theta, lp, N) * coherent_state(alpha0, N).amplitudes
     psi = np.append(np.sqrt(np.arange(1.0, N)) * psi[1:], 0.0)
-    psi = FockVector(_no_emission_diagonal(theta_total - theta, lp, N) * psi, N)
+    psi = FockVector(no_emission_diagonal(theta_total - theta, lp, N) * psi, N)
     weight = psi.norm**2
     if weight <= 0.0:
         raise ValueError("emission from this state has zero probability (vacuum input)")
     return psi.normalized(), weight
+
+
+def lossy_stages(
+    alpha0: complex, lp: LossParams, N: int, t_emit: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The lossy pipeline's stages around the transfer displacement ``q = +delta'`` of ``apply_kicks``.
+
+    Returns ``xi^n W(pi/2)|alpha0>`` (with ``t_emit``, ``xi^n`` times the
+    normalized ``single_emission_state``) and the diagonal of the second
+    ``W(pi/2)``, both of length ``N``.
+    """
+    w = no_emission_diagonal(math.pi / 2.0, lp, N)
+    if t_emit is None:
+        psi = w * coherent_state(alpha0, N).amplitudes
+    else:
+        psi = single_emission_state(t_emit, math.pi / 2.0, alpha0, lp, N)[0].amplitudes
+    return lp.xi ** np.arange(N) * psi, w
 
 
 def run_lossy_trajectory(
@@ -402,26 +413,13 @@ def run_lossy_trajectory(
     no-emission transfer (``xi^n`` then displacement ``+i*delta_prime``),
     and a second forward Kerr stage ``W(pi/2)``. ``t_emit=None`` selects the
     emission-free trajectory. Normalization implements conditioning on the
-    recorded emission pattern.
-
-    No operator matrix is built: the Kerr stages and ``xi^n`` are diagonal
-    and scale the amplitudes, the emission stage is ``single_emission_state``,
-    and the displacement is applied in the cached eigenbasis of ``a + a_dag``.
+    recorded emission pattern. The stages are :func:`lossy_stages`, joined
+    by :func:`kerrcat.fock.apply_kicks`; no operator matrix is built.
     """
     if N is None:
         N = default_truncation(alpha0)
-    half_turn = math.pi / 2.0
-    if t_emit is None:
-        psi = _no_emission_diagonal(half_turn, lp, N) * coherent_state(alpha0, N).amplitudes
-    else:
-        psi = single_emission_state(t_emit, half_turn, alpha0, lp, N)[0].amplitudes
-    psi = lp.xi ** np.arange(N) * psi
-    evals, evecs = _quadrature_eigensystem(N)
-    psi = evecs @ (np.exp(1j * delta_prime * evals) * (evecs.conj().T @ psi))
-    psi = FockVector(_no_emission_diagonal(half_turn, lp, N) * psi, N)
-    if psi.norm == 0.0:
-        raise ValueError("trajectory has zero probability")
-    return psi.normalized()
+    before, after = lossy_stages(alpha0, lp, N, t_emit)
+    return FockVector(apply_kicks(before, delta_prime, after)[:, 0], N).normalized()
 
 
 def mean_X_lossy(alpha: float, delta_prime: float, lp: LossParams) -> float:

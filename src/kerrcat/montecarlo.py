@@ -16,9 +16,10 @@ regardless of scheduling.
 Two outcome engines are provided. The ``analytic`` engine evaluates
 ``p1`` exactly from the coherent-branch algebra (closed-form Gaussian
 half-line integrals), vectorized over shots. The ``brute-force`` engine
-rebuilds the final state in the truncated number basis and reads
-``Prob(X > 0)`` off its amplitudes through the exact half-line Hermite
-overlaps; it is the slow validation path.
+rebuilds the final states of a batch of kicks in the truncated number basis,
+applying the kicks in the eigenbasis of ``a + a_dag``, and reads
+``Prob(X > 0)`` off their amplitudes through the exact half-line Hermite
+overlaps; it is the independent validation path.
 """
 
 from __future__ import annotations
@@ -34,16 +35,16 @@ import numpy as np
 from scipy.special import ndtri, roots_hermite
 
 from kerrcat._coherent import ideal_pipeline, kicked_prob_x_positive, lossy_pipeline
-from kerrcat.fock import default_truncation, prob_quadrature_positive, require_finite
+from kerrcat.fock import apply_kicks, default_truncation, prob_positive_columns, require_finite
 from kerrcat.loss import (
     KickStats,
     LossParams,
     emission_probability,
     lossy_offset,
+    lossy_stages,
     momentum_kick_stats,
-    run_lossy_trajectory,
 )
-from kerrcat.protocol import ProtocolParams, SignalEstimate, offset_delta, run_ideal
+from kerrcat.protocol import ProtocolParams, SignalEstimate, ideal_stages, offset_delta
 
 __all__ = [
     "ForceSpec",
@@ -148,6 +149,8 @@ class ExperimentConfig:
                 raise ValueError(f"ExperimentConfig.{name} must be an integer, got {value!r}")
         if self.shots < 1:
             raise ValueError("shots must be at least 1")
+        if self.shots >= 2**63:
+            raise ValueError("shots must be below 2**63")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.engine not in ("analytic", "brute-force"):
@@ -263,22 +266,24 @@ def _brute_force_dim(config: ExperimentConfig, kick_bound: float = 0.0) -> int:
 
 
 def _p1_brute_force(delta_prime: np.ndarray, config: ExperimentConfig) -> np.ndarray:
-    """Outcome probabilities from the truncated number-basis pipeline, one state per kick.
+    """Outcome probabilities from the truncated number-basis pipeline.
 
-    The kicks of one batch share one dimension, sized for the largest total
-    kick, so a batch builds at most one set of dimension-dependent tables.
+    A batch shares one dimension ``N``, sized for its largest total kick, and
+    one pair of pipeline stages. Its kicks run in slices of ``_CHUNK_SHOTS // N``,
+    so each ``(N, kicks)`` array holds at most ``_CHUNK_SHOTS`` entries.
     """
     p = config.protocol
     total = np.asarray(_total_kick(delta_prime, config))
     N = _brute_force_dim(config, float(np.max(np.abs(total), initial=0.0)))
-    p1 = np.empty(delta_prime.shape)
-    for i, (kick, kicked) in enumerate(zip(delta_prime.flat, total.flat)):
-        if config.loss is None:
-            psi = run_ideal(dataclasses.replace(p, delta=float(kick), truncation=N))
-        else:
-            psi = run_lossy_trajectory(p.alpha0, float(kicked), config.loss, N=N)
-        p1.flat[i] = prob_quadrature_positive(psi)
-    return np.clip(p1, 0.0, 1.0)
+    if config.loss is None:
+        (before, after), q = ideal_stages(p.alpha0, N), -total.ravel()
+    else:
+        (before, after), q = lossy_stages(p.alpha0, config.loss, N), total.ravel()
+    step = _CHUNK_SHOTS // N
+    p1 = np.empty(q.size)
+    for start in range(0, q.size, step):
+        p1[start : start + step] = prob_positive_columns(apply_kicks(before, q[start : start + step], after))
+    return np.clip(p1.reshape(total.shape), 0.0, 1.0)
 
 
 def outcome_probability(delta_prime, config: ExperimentConfig):
@@ -288,7 +293,7 @@ def outcome_probability(delta_prime, config: ExperimentConfig):
     working-point offset is added internally. The value is conditioned on no
     photon emission — the shot engine mixes in the fair-coin emission branch
     separately. Scalar input returns a float; array input returns an array
-    (vectorized in the analytic engine, looped over kicks in brute force).
+    (vectorized over kicks in both engines).
     """
     arr = np.asarray(delta_prime, dtype=float)
     engine = _p1_analytic if config.engine == "analytic" else _p1_brute_force

@@ -21,9 +21,12 @@ import numbers
 import warnings
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from kerrcat.constants import hbar
 from kerrcat.fock import (
     FockVector,
+    apply_kicks,
     coherent_state,
     default_truncation,
     force_kick,
@@ -38,6 +41,7 @@ __all__ = [
     "offset_delta",
     "force_to_delta",
     "cat_state",
+    "ideal_stages",
     "run_ideal",
     "mean_X_ideal",
     "mean_X_linearized",
@@ -175,17 +179,24 @@ def cat_state(alpha0: complex, N: int | None = None) -> FockVector:
     return FockVector((plus.amplitudes + 1j * minus.amplitudes) / math.sqrt(2.0), N)
 
 
+def ideal_stages(alpha0: complex, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lossless pipeline's stages around the kick ``q = -delta`` of ``apply_kicks``.
+
+    Returns the cat ``Kerr(pi/2)|alpha0>`` and the diagonal of the inverse
+    map ``Kerr(pi/2)^dag``, both of length ``N``.
+    """
+    kerr = np.exp(-1j * (math.pi / 2.0) * np.arange(N, dtype=float) ** 2)
+    return kerr * coherent_state(alpha0, N).amplitudes, kerr.conj()
+
+
 def run_ideal(p: ProtocolParams) -> FockVector:
     """Run the lossless pipeline and return the pre-measurement state.
 
     Applies the quarter-period Kerr map, the combined kick
     (``p.effective_delta``), and the inverse Kerr map to ``|alpha0>``.
     """
-    N = p.dim
-    U = kerr_unitary(math.pi / 2.0, N)
-    psi = U @ coherent_state(p.alpha0, N)
-    psi = force_kick(p.effective_delta, N) @ psi
-    return U.dagger @ psi
+    before, after = ideal_stages(p.alpha0, p.dim)
+    return FockVector(apply_kicks(before, -p.effective_delta, after)[:, 0], p.dim)
 
 
 def mean_X_ideal(alpha: float, delta: float) -> float:

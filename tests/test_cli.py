@@ -256,6 +256,22 @@ class TestCommands:
         assert result.exit_code == 3
         assert "physical precondition" in result.output
 
+    def test_validate_strong_transfer_loss_passes(self, tmp_path):
+        # At g = 40 kHz the transfer keeps xi ~ 0.08, so the no-emission peak
+        # sits at x ~ -0.12, inside the -0.2 < x < 0 band.
+        path = tmp_path / "weak_coupling.ini"
+        path.write_text(LOSSY_SCENARIO.replace("g = 500e3", "g = 40e3").replace("temp = 0.0", "temp = 0.05"))
+        result = self.runner.invoke(main, ["validate", "--config", str(path)])
+        assert result.exit_code == 0, result.output
+        assert "FAIL" not in result.output
+
+    @pytest.mark.parametrize("tolerance", ["inf", "nan", "-1"])
+    def test_validate_bad_tolerance_exits_two(self, tolerance):
+        result = self.runner.invoke(main, ["validate", "--tolerance", tolerance])
+        assert result.exit_code == 2, result.output
+        assert "tolerance must be finite and non-negative" in result.output
+        assert "checks passed" not in result.output
+
     def test_validate_value_error_exits_two(self, monkeypatch):
         # validate shares the other commands' exit-code mapping: a ValueError
         # from the library is a usage error with its message, not a traceback.
@@ -461,6 +477,18 @@ class TestCommands:
         assert result.exit_code == 2
         assert "shots must be at least 1" in result.output
         assert "Traceback" not in result.output
+
+    def test_oversized_seed_exits_two(self):
+        result = self.runner.invoke(main, ["shots", "--shots", "10", "--seed", str(10**400)])
+        assert result.exit_code == 2, result.output
+        assert "seed must be a 64-bit unsigned integer" in result.output
+
+    def test_oversized_shots_in_scenario_exits_two(self, tmp_path):
+        path = tmp_path / "huge.ini"
+        path.write_text(IDEAL_SCENARIO.replace("shots = 2000", f"shots = {10**400}"))
+        result = self.runner.invoke(main, ["shots", "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "shots must be below 2**63" in result.output
 
 
 class TestParamsCommand:

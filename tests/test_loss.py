@@ -23,11 +23,11 @@ from kerrcat.loss import (
     emission_probability,
     full_signal,
     loss_channel,
-    lossy_kerr_propagator,
     lossy_offset,
     mean_X_lossy,
     mean_X_lossy_linearized,
     momentum_kick_stats,
+    no_emission_diagonal,
     run_lossy_trajectory,
     single_emission_state,
     swap_parameters,
@@ -53,16 +53,18 @@ def dense_loss_channel(lp: LossParams, delta_prime: float, N: int) -> np.ndarray
 def dense_trajectory(alpha0, delta_prime: float, lp: LossParams, t_emit, N: int) -> np.ndarray:
     """Reference trajectory: every stage as a dense N x N operator product."""
     half_turn = math.pi / 2.0
+
+    def w(theta):
+        return np.diag(no_emission_diagonal(theta, lp, N))
+
     psi = coherent_state(alpha0, N).amplitudes
     if t_emit is None:
-        psi = lossy_kerr_propagator(half_turn, lp, N).entries @ psi
+        psi = w(half_turn) @ psi
     else:
         theta = lp.lambda_kerr * t_emit
-        psi = lossy_kerr_propagator(theta, lp, N).entries @ psi
-        psi = ladder_ops(N)[0].entries @ psi
-        psi = lossy_kerr_propagator(half_turn - theta, lp, N).entries @ psi
+        psi = w(half_turn - theta) @ (ladder_ops(N)[0].entries @ (w(theta) @ psi))
     transfer = force_kick(-delta_prime, N).entries @ np.diag(lp.xi ** np.arange(N))
-    psi = lossy_kerr_propagator(half_turn, lp, N).entries @ (transfer @ psi)
+    psi = w(half_turn) @ (transfer @ psi)
     return psi / np.linalg.norm(psi)
 
 
@@ -283,7 +285,7 @@ class TestLossChannel:
     def test_matches_dense_construction(self, N, xi_target, delta_prime):
         lp = params_for(xi_target, 0.05) if xi_target < 1.0 else no_loss_params()
         channel = loss_channel(lp, delta_prime, N)
-        assert channel.kind == "unitary"
+        assert np.max(np.abs((channel.dagger @ channel).entries - np.eye(N * N))) < 1e-12
         reference = dense_loss_channel(lp, delta_prime, N)
         assert np.max(np.abs(channel.entries - reference)) < 1e-12
 
@@ -300,26 +302,26 @@ class TestLossChannel:
 class TestLossyKerrPropagator:
     def test_lossless_limit_equals_kerr_unitary(self):
         lp = no_loss_params()
-        w = lossy_kerr_propagator(math.pi / 2.0, lp, 16)
+        w = no_emission_diagonal(math.pi / 2.0, lp, 16)
         u = kerr_unitary(math.pi / 2.0, 16)
-        assert np.max(np.abs(w.entries - u.entries)) < 1e-12
-        assert w.kind == "unitary"
+        assert np.max(np.abs(np.diag(w) - u.entries)) < 1e-12
+        assert np.max(np.abs(np.abs(w) - 1.0)) < 1e-15
 
     def test_contraction_on_random_states(self):
         lp = params_for(0.9, 0.05)
-        w = lossy_kerr_propagator(math.pi / 2.0, lp, 20)
-        assert w.kind == "contraction"
+        w = no_emission_diagonal(math.pi / 2.0, lp, 20)
+        assert np.all(np.abs(w) <= 1.0)
         rng = np.random.default_rng(7)
         for _ in range(100):
             raw = rng.normal(size=20) + 1j * rng.normal(size=20)
             psi = FockVector(raw / np.linalg.norm(raw), 20)
-            assert (w @ psi).norm <= 1.0 + 1e-12
+            assert FockVector(w * psi.amplitudes, 20).norm <= 1.0 + 1e-12
 
     def test_no_emission_probability_closed_form(self):
         lp = params_for(0.95, 0.01)
         alpha = 1.5
-        w = lossy_kerr_propagator(math.pi / 2.0, lp, 38)
-        p0 = (w @ coherent_state(alpha, 38)).norm ** 2
+        w = no_emission_diagonal(math.pi / 2.0, lp, 38)
+        p0 = FockVector(w * coherent_state(alpha, 38).amplitudes, 38).norm ** 2
         kt = lp.kappa * lp.tau_kerr
         exact = math.exp(-alpha * alpha * (1.0 - math.exp(-kt)))
         assert abs(p0 - exact) < 1e-10
@@ -355,7 +357,8 @@ class TestSingleEmissionState:
         alpha = 1.5
         lp = params_for(0.9, 0.1 / alpha**2)
         N = 38
-        p0 = (lossy_kerr_propagator(math.pi / 2.0, lp, N) @ coherent_state(alpha, N)).norm ** 2
+        w = no_emission_diagonal(math.pi / 2.0, lp, N)
+        p0 = FockVector(w * coherent_state(alpha, N).amplitudes, N).norm ** 2
         times = np.linspace(0.0, lp.tau_kerr, 81)
         weights = [single_emission_state(t, math.pi / 2.0, alpha, lp, N)[1] for t in times]
         p1 = lp.kappa * float(np.trapezoid(weights, times))

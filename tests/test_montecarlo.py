@@ -15,7 +15,8 @@ from scipy.special import roots_hermite
 from _support import params_for, reference_params
 from kerrcat import montecarlo
 from kerrcat._coherent import kicked_prob_x_positive
-from kerrcat.loss import KickStats, momentum_kick_stats
+from kerrcat.fock import prob_quadrature_positive
+from kerrcat.loss import KickStats, lossy_offset, momentum_kick_stats, run_lossy_trajectory
 from kerrcat.montecarlo import (
     SWEEP_AXES,
     ExperimentConfig,
@@ -27,7 +28,7 @@ from kerrcat.montecarlo import (
     sample_kick,
     sweep,
 )
-from kerrcat.protocol import ProtocolParams
+from kerrcat.protocol import ProtocolParams, run_ideal
 
 
 def _stream(seed: int) -> np.random.Generator:
@@ -53,6 +54,19 @@ def lossy_config(**overrides) -> ExperimentConfig:
     }
     kwargs.update(overrides)
     return ExperimentConfig(**kwargs)
+
+
+def spy_read_out(monkeypatch) -> list[tuple[int, int]]:
+    """Record the ``(N, kicks)`` shape of every batched brute-force read-out."""
+    shapes = []
+    read_out = montecarlo.prob_positive_columns
+
+    def spy(amplitudes):
+        shapes.append(amplitudes.shape)
+        return read_out(amplitudes)
+
+    monkeypatch.setattr(montecarlo, "prob_positive_columns", spy)
+    return shapes
 
 
 class TestSampleKick:
@@ -202,18 +216,11 @@ class TestConfigValidation:
             outcome_probability(protocol.delta, config)
 
     def test_brute_force_thermal_batch_shares_one_dimension(self, monkeypatch):
-        dims = []
-        read_out = montecarlo.prob_quadrature_positive
-
-        def spy(psi):
-            dims.append(psi.dim)
-            return read_out(psi)
-
+        shapes = spy_read_out(monkeypatch)
         config = lossy_config(loss=reference_params(temp=30.0), shots=50, engine="brute-force")
-        monkeypatch.setattr(montecarlo, "prob_quadrature_positive", spy)
         run_experiment(config)
-        assert len(dims) == 50
-        assert len(set(dims)) == 1
+        assert sum(kicks for _, kicks in shapes) == 50
+        assert len({dim for dim, _ in shapes}) == 1
 
     def test_force_spec_validation(self):
         with pytest.raises(ValueError):
@@ -382,6 +389,34 @@ class TestPrediction:
         monkeypatch.setattr(montecarlo, "_MAX_HERMITE_NODES", 64)
         with pytest.warns(UserWarning, match="did not converge"):
             predicted_signal(self._config(2.5, 3000.0))
+
+
+class TestBruteForceBatch:
+    """The brute-force engine applies and reads out a batch of kicks at once."""
+
+    @pytest.mark.parametrize("loss", [None, reference_params(), params_for(0.6, 0.05)])
+    def test_batch_matches_one_state_per_kick(self, loss):
+        protocol = ProtocolParams(alpha0=1.5, delta=0.0, apply_offset=True, truncation=48)
+        config = ExperimentConfig(protocol=protocol, loss=loss, engine="brute-force")
+        kicks = np.linspace(-0.05, 0.05, 21)
+        batch = outcome_probability(kicks, config)
+        for kick, value in zip(kicks, batch):
+            if loss is None:
+                psi = run_ideal(dataclasses.replace(protocol, delta=float(kick)))
+            else:
+                total = float(kick) + lossy_offset(protocol.alpha, loss)
+                psi = run_lossy_trajectory(protocol.alpha0, total, loss, N=48)
+            assert abs(value - prob_quadrature_positive(psi)) <= 1e-15, kick
+
+    def test_large_batch_is_read_out_in_bounded_slices(self, monkeypatch):
+        shapes = spy_read_out(monkeypatch)
+        protocol = ProtocolParams(alpha0=2.0, apply_offset=True, truncation=160)
+        config = ExperimentConfig(protocol=protocol, engine="brute-force")
+        p1 = outcome_probability(np.linspace(-0.1, 0.1, 1000), config)
+        assert p1.shape == (1000,)
+        assert len(shapes) > 1
+        assert all(dim == 160 and dim * kicks <= montecarlo._CHUNK_SHOTS for dim, kicks in shapes)
+        assert sum(kicks for _, kicks in shapes) == 1000
 
 
 class TestBoundedMemory:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from kerrcat.fock import default_truncation, fidelity, kerr_unitary, mean_quadrature
+from kerrcat.fock import default_truncation, fidelity, force_kick, kerr_unitary, mean_quadrature
 from kerrcat.fock import coherent_state
 from kerrcat.protocol import (
     PhysicalForce,
@@ -210,6 +210,15 @@ class TestShotErrors:
 
 
 class TestRunIdeal:
+    @pytest.mark.parametrize("alpha0", [0.8, 1.5 + 0.3j, 2.0])
+    @pytest.mark.parametrize("delta", [-0.1, 0.0, 0.07])
+    def test_matches_dense_operator_product(self, alpha0, delta):
+        p = ProtocolParams(alpha0=alpha0, delta=delta)
+        N = p.dim
+        U = kerr_unitary(math.pi / 2.0, N)
+        want = U.dagger @ (force_kick(delta, N) @ (U @ coherent_state(alpha0, N)))
+        assert np.max(np.abs(run_ideal(p).amplitudes - want.amplitudes)) <= 1e-13
+
     def test_preserves_norm(self):
         psi = run_ideal(ProtocolParams(alpha0=2.0, delta=0.07))
         assert abs(psi.norm - 1.0) < 1e-9
