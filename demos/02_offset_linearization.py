@@ -18,10 +18,10 @@ from kerrcat import (
     mean_X_ideal,
     mean_X_linearized,
     mean_quadrature,
+    offset_delta,
     run_ideal,
     shot_errors,
 )
-from kerrcat.protocol import offset_delta
 
 ALPHA = 2.0
 

@@ -18,113 +18,12 @@ The package is organized in six layers:
   command-line overrides, exit codes, and table output.
 """
 
-from kerrcat.fock import (
-    FockOperator,
-    FockVector,
-    QuadratureResult,
-    TruncationError,
-    coherent_state,
-    default_truncation,
-    fidelity,
-    force_kick,
-    kerr_unitary,
-    ladder_ops,
-    mean_quadrature,
-    prob_quadrature_positive,
-    quadrature_distribution,
-)
-from kerrcat.protocol import (
-    PhysicalForce,
-    ProtocolParams,
-    SignalEstimate,
-    branch_phase_shift,
-    cat_state,
-    force_to_delta,
-    mean_X_ideal,
-    mean_X_linearized,
-    run_ideal,
-    shot_errors,
-)
-from kerrcat.loss import (
-    KickStats,
-    LossParams,
-    OverdampedTransferError,
-    emission_probability,
-    full_signal,
-    loss_channel,
-    lossy_offset,
-    mean_X_lossy,
-    mean_X_lossy_linearized,
-    momentum_kick_stats,
-    no_emission_diagonal,
-    reference_loss_params,
-    run_lossy_trajectory,
-    single_emission_state,
-    swap_parameters,
-    thermal_occupation,
-    two_mode_conditional_mean,
-)
-from kerrcat.montecarlo import (
-    ExperimentConfig,
-    ForceSpec,
-    coin_bias_from_signal,
-    outcome_probability,
-    predicted_signal,
-    run_experiment,
-    sample_kick,
-    sweep,
-)
+from kerrcat import fock, loss, montecarlo, protocol
+from kerrcat.fock import *  # noqa: F401,F403
+from kerrcat.protocol import *  # noqa: F401,F403
+from kerrcat.loss import *  # noqa: F401,F403
+from kerrcat.montecarlo import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FockOperator",
-    "FockVector",
-    "QuadratureResult",
-    "TruncationError",
-    "coherent_state",
-    "default_truncation",
-    "fidelity",
-    "force_kick",
-    "kerr_unitary",
-    "ladder_ops",
-    "mean_quadrature",
-    "prob_quadrature_positive",
-    "quadrature_distribution",
-    "PhysicalForce",
-    "ProtocolParams",
-    "SignalEstimate",
-    "branch_phase_shift",
-    "cat_state",
-    "force_to_delta",
-    "mean_X_ideal",
-    "mean_X_linearized",
-    "run_ideal",
-    "shot_errors",
-    "KickStats",
-    "LossParams",
-    "OverdampedTransferError",
-    "emission_probability",
-    "full_signal",
-    "loss_channel",
-    "lossy_offset",
-    "mean_X_lossy",
-    "mean_X_lossy_linearized",
-    "momentum_kick_stats",
-    "no_emission_diagonal",
-    "reference_loss_params",
-    "run_lossy_trajectory",
-    "single_emission_state",
-    "swap_parameters",
-    "thermal_occupation",
-    "two_mode_conditional_mean",
-    "ExperimentConfig",
-    "ForceSpec",
-    "coin_bias_from_signal",
-    "outcome_probability",
-    "predicted_signal",
-    "run_experiment",
-    "sample_kick",
-    "sweep",
-    "__version__",
-]
+__all__ = [*fock.__all__, *protocol.__all__, *loss.__all__, *montecarlo.__all__, "__version__"]

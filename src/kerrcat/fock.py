@@ -67,20 +67,20 @@ class FockVector:
     ----------
     amplitudes : complex ndarray of shape (dim,)
         Probability amplitudes ``c_n``; read-only.
-    dim : int
-        Truncation dimension ``N``.
     """
 
     amplitudes: np.ndarray
-    dim: int
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.ndim != 1:
             raise ValueError("amplitudes must be a one-dimensional array")
-        if self.dim != amps.shape[0]:
-            raise ValueError("dim must equal len(amplitudes)")
         object.__setattr__(self, "amplitudes", _readonly(amps))
+
+    @property
+    def dim(self) -> int:
+        """Truncation dimension ``N``, the length of the amplitude vector."""
+        return self.amplitudes.shape[0]
 
     @property
     def norm(self) -> float:
@@ -96,11 +96,10 @@ class FockVector:
         n = self.norm
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return FockVector(self.amplitudes / n, self.dim)
+        return FockVector(self.amplitudes / n)
 
     def overlap(self, other: "FockVector") -> complex:
         """Inner product ``<self|other>``."""
-        _check_same_dim(self.dim, other.dim)
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
@@ -112,38 +111,35 @@ class FockOperator:
     ----------
     entries : complex ndarray of shape (dim, dim)
         Matrix entries; read-only.
-    dim : int
-        Truncation dimension ``N``.
     """
 
     entries: np.ndarray
-    dim: int
 
     def __post_init__(self) -> None:
         mat = np.asarray(self.entries, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("entries must be a square matrix")
-        if self.dim != mat.shape[0]:
-            raise ValueError("dim must match the matrix size")
         object.__setattr__(self, "entries", _readonly(mat))
+
+    @property
+    def dim(self) -> int:
+        """Truncation dimension ``N``, the size of the matrix."""
+        return self.entries.shape[0]
 
     @property
     def dagger(self) -> "FockOperator":
         """Conjugate transpose."""
-        return FockOperator(self.entries.conj().T, self.dim)
+        return FockOperator(self.entries.conj().T)
 
     def __matmul__(self, other):
         if isinstance(other, FockOperator):
-            _check_same_dim(self.dim, other.dim)
-            return FockOperator(self.entries @ other.entries, self.dim)
+            return FockOperator(self.entries @ other.entries)
         if isinstance(other, FockVector):
-            _check_same_dim(self.dim, other.dim)
-            return FockVector(self.entries @ other.amplitudes, self.dim)
+            return FockVector(self.entries @ other.amplitudes)
         return NotImplemented
 
     def expectation(self, psi: FockVector) -> complex:
         """``<psi|O|psi>`` (the state need not be normalized)."""
-        _check_same_dim(self.dim, psi.dim)
         return complex(np.vdot(psi.amplitudes, self.entries @ psi.amplitudes))
 
 
@@ -169,11 +165,6 @@ class QuadratureResult:
         object.__setattr__(self, "density", _readonly(np.asarray(self.density, dtype=float)))
 
 
-def _check_same_dim(d1: int, d2: int) -> None:
-    if d1 != d2:
-        raise ValueError(f"dimension mismatch: {d1} != {d2}")
-
-
 def require_finite(owner: str, **values) -> None:
     """Raise ``ValueError`` naming the first NaN or infinite value; an ``int`` of any size is finite."""
     for name, value in values.items():
@@ -191,6 +182,16 @@ def default_truncation(alpha: complex) -> int:
     """
     mag = abs(alpha)
     return math.ceil(mag * mag + 10.0 * mag + 20.0)
+
+
+def kicked_truncation(alpha0: complex, kick: float, truncation: int | None) -> int:
+    """Dimension of a space holding ``|alpha0>`` after kicks of size at most ``|kick|``.
+
+    An explicit ``truncation`` is used as given; otherwise the rule of
+    :func:`default_truncation` is applied to the kicked amplitude
+    ``|alpha0| + |kick|``, since a kick displaces the amplitude by up to ``|kick|``.
+    """
+    return truncation if truncation is not None else default_truncation(abs(alpha0) + abs(kick))
 
 
 def coherent_state(alpha: complex, N: int, tail_tol: float = DEFAULT_TAIL_TOL) -> FockVector:
@@ -212,7 +213,7 @@ def coherent_state(alpha: complex, N: int, tail_tol: float = DEFAULT_TAIL_TOL) -
     amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
     for k in range(1, N):
         amps[k] = amps[k - 1] * alpha / math.sqrt(k)
-    state = FockVector(amps, N)
+    state = FockVector(amps)
     tail = state.tail_mass()
     if tail >= tail_tol:
         raise TruncationError(
@@ -229,7 +230,7 @@ def ladder_ops(N: int) -> tuple[FockOperator, FockOperator, FockOperator]:
     a = np.diag(np.sqrt(np.arange(1.0, N)), 1).astype(complex)
     a_dag = a.conj().T
     n_op = a_dag @ a
-    return FockOperator(a, N), FockOperator(a_dag, N), FockOperator(n_op, N)
+    return FockOperator(a), FockOperator(a_dag), FockOperator(n_op)
 
 
 def kerr_unitary(theta: float, N: int) -> FockOperator:
@@ -240,7 +241,7 @@ def kerr_unitary(theta: float, N: int) -> FockOperator:
     at ``theta = pi`` it flips the sign of a coherent amplitude.
     """
     n = np.arange(N)
-    return FockOperator(np.diag(np.exp(-1j * theta * n.astype(float) ** 2)), N)
+    return FockOperator(np.diag(np.exp(-1j * theta * n.astype(float) ** 2)))
 
 
 @lru_cache(maxsize=32)
@@ -263,7 +264,7 @@ def force_kick(delta: float, N: int) -> FockOperator:
     """
     evals, evecs = _quadrature_eigensystem(N)
     phases = np.exp(-1j * delta * evals)
-    return FockOperator((evecs * phases) @ evecs.conj().T, N)
+    return FockOperator((evecs * phases) @ evecs.conj().T)
 
 
 def apply_kicks(before: np.ndarray, q, after: np.ndarray) -> np.ndarray:

@@ -46,6 +46,7 @@ from kerrcat.fock import (
     coherent_state,
     default_truncation,
     force_kick,
+    kicked_truncation,
     mean_quadrature,
     require_finite,
 )
@@ -109,15 +110,22 @@ def swap_parameters(kappa: float, gamma: float, g: float) -> tuple[float, float,
 def thermal_occupation(omega_m: float, temp: float) -> float:
     """Bose-Einstein occupation ``1/(exp(hbar*omega/(k*T)) - 1)``.
 
-    ``temp = 0`` returns exactly 0. Monotone increasing in ``temp``.
+    ``temp = 0`` returns exactly 0, and so does a temperature so low that
+    ``k*T`` underflows or ``exp(hbar*omega/(k*T))`` exceeds the float range
+    (there the occupation is below the smallest normal float). Monotone
+    increasing in ``temp``.
     """
     if omega_m <= 0.0:
         raise ValueError("omega_m must be strictly positive")
     if temp < 0.0:
         raise ValueError("temperature must be non-negative")
-    if temp == 0.0:
+    thermal_energy = k_boltzmann * temp
+    if thermal_energy == 0.0:
         return 0.0
-    return 1.0 / math.expm1(hbar * omega_m / (k_boltzmann * temp))
+    try:
+        return 1.0 / math.expm1(hbar * omega_m / thermal_energy)
+    except OverflowError:
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -317,7 +325,7 @@ def loss_channel(lp: LossParams, delta_prime: float, N: int) -> FockOperator:
         raise ValueError("N must be at least 2")
     splitter = _beam_splitter(math.acos(min(lp.xi, 1.0)), N)
     displaced = force_kick(-delta_prime, N).entries @ splitter.reshape(N, N**3)
-    return FockOperator(displaced.reshape(N * N, N * N), N * N)
+    return FockOperator(displaced.reshape(N * N, N * N))
 
 
 def two_mode_conditional_mean(alpha: float, delta_prime: float, lp: LossParams, N: int = 24) -> float:
@@ -334,7 +342,7 @@ def two_mode_conditional_mean(alpha: float, delta_prime: float, lp: LossParams, 
     psi = loss_channel(lp, delta_prime, N).entries @ start
     # Auxiliary level 0 is column 0 of the (system, auxiliary) grid; W (x) I scales its system levels.
     cond = w * psi.reshape(N, N)[:, 0]
-    return mean_quadrature(FockVector(cond / np.linalg.norm(cond), N))
+    return mean_quadrature(FockVector(cond / np.linalg.norm(cond)))
 
 
 def no_emission_diagonal(theta: float, lp: LossParams, N: int) -> np.ndarray:
@@ -375,7 +383,7 @@ def single_emission_state(
     theta = lp.lambda_kerr * t_emit
     psi = no_emission_diagonal(theta, lp, N) * coherent_state(alpha0, N).amplitudes
     psi = np.append(np.sqrt(np.arange(1.0, N)) * psi[1:], 0.0)
-    psi = FockVector(no_emission_diagonal(theta_total - theta, lp, N) * psi, N)
+    psi = FockVector(no_emission_diagonal(theta_total - theta, lp, N) * psi)
     weight = psi.norm**2
     if weight <= 0.0:
         raise ValueError("emission from this state has zero probability (vacuum input)")
@@ -414,12 +422,11 @@ def run_lossy_trajectory(
     and a second forward Kerr stage ``W(pi/2)``. ``t_emit=None`` selects the
     emission-free trajectory. Normalization implements conditioning on the
     recorded emission pattern. The stages are :func:`lossy_stages`, joined
-    by :func:`kerrcat.fock.apply_kicks`; no operator matrix is built.
+    by :func:`kerrcat.fock.apply_kicks`; no operator matrix is built. The
+    default ``N`` is sized for the kicked amplitude.
     """
-    if N is None:
-        N = default_truncation(alpha0)
-    before, after = lossy_stages(alpha0, lp, N, t_emit)
-    return FockVector(apply_kicks(before, delta_prime, after)[:, 0], N).normalized()
+    before, after = lossy_stages(alpha0, lp, kicked_truncation(alpha0, delta_prime, N), t_emit)
+    return FockVector(apply_kicks(before, delta_prime, after)[:, 0]).normalized()
 
 
 def mean_X_lossy(alpha: float, delta_prime: float, lp: LossParams) -> float:
@@ -496,8 +503,10 @@ def lossy_offset(alpha: float, lp: LossParams) -> float:
     ``-pi/(8*alpha)``; the sign is opposite to the ideal pipeline's offset
     because the transfer displaces by ``+i*delta_prime`` while the ideal kick
     displaces by ``-i*delta``. With these choices the measured signal slope
-    has the same sign in both modes.
+    has the same sign in both modes. Raises ``ValueError`` where the phase
+    gain is zero: at ``alpha = 0``, or where ``xi`` or ``eta`` underflows to 0.
     """
-    if alpha == 0.0:
-        raise ValueError("the offset is undefined at alpha = 0")
-    return -math.pi / (4.0 * lp.xi * lp.eta * alpha * (1.0 + lp.eta**2))
+    gain = lp.xi * lp.eta * alpha * (1.0 + lp.eta**2)
+    if gain == 0.0:
+        raise ValueError(f"the offset is undefined at alpha = {alpha:g}, xi = {lp.xi:g}, eta = {lp.eta:g}")
+    return -math.pi / (4.0 * gain)

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.special import ndtri, roots_hermite
 
 from kerrcat._coherent import ideal_pipeline, kicked_prob_x_positive, lossy_pipeline
-from kerrcat.fock import apply_kicks, default_truncation, prob_positive_columns, require_finite
+from kerrcat.fock import apply_kicks, kicked_truncation, prob_positive_columns, require_finite
 from kerrcat.loss import (
     KickStats,
     LossParams,
@@ -250,17 +250,15 @@ def _kick_average(stats: KickStats, config: ExperimentConfig) -> float:
 def _brute_force_dim(config: ExperimentConfig, kick_bound: float = 0.0) -> int:
     """Number-basis dimension of brute-force states whose total kicks are at most ``kick_bound``.
 
-    An explicit truncation is used as given; otherwise the space is sized for
-    the kicked amplitude ``|alpha0| + kick_bound``. Raises ``ValueError``
-    above ``MAX_BRUTE_FORCE_DIM``.
+    The size follows :func:`kerrcat.fock.kicked_truncation`. Raises
+    ``ValueError`` above ``MAX_BRUTE_FORCE_DIM``.
     """
     p = config.protocol
-    amplitude = abs(complex(p.alpha0)) + kick_bound
-    N = p.truncation if p.truncation is not None else default_truncation(amplitude)
+    N = kicked_truncation(p.alpha0, kick_bound, p.truncation)
     if N > MAX_BRUTE_FORCE_DIM:
         raise ValueError(
             f"brute-force engine needs truncation <= {MAX_BRUTE_FORCE_DIM}, got {N} "
-            f"(|alpha0| + largest total kick = {amplitude:.4g})"
+            f"(|alpha0| + largest total kick = {abs(complex(p.alpha0)) + kick_bound:.4g})"
         )
     return N
 

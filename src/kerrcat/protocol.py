@@ -31,6 +31,7 @@ from kerrcat.fock import (
     default_truncation,
     force_kick,
     kerr_unitary,
+    kicked_truncation,
     require_finite,
 )
 
@@ -65,8 +66,8 @@ class ProtocolParams:
         before the kick (single combined kick; kicks compose additively up to
         a global phase).
     truncation : int or None
-        Fock-space dimension of at least 2; ``None`` selects the default
-        truncation rule.
+        Fock-space dimension of at least 2; ``None`` sizes the space for the
+        kicked amplitude (:func:`kerrcat.fock.kicked_truncation`).
     """
 
     alpha0: complex
@@ -93,11 +94,6 @@ class ProtocolParams:
         if self.apply_offset:
             return self.delta + offset_delta(self.alpha)
         return self.delta
-
-    @property
-    def dim(self) -> int:
-        """Fock dimension used by the pipeline."""
-        return self.truncation if self.truncation is not None else default_truncation(self.alpha0)
 
 
 @dataclass(frozen=True)
@@ -176,7 +172,7 @@ def cat_state(alpha0: complex, N: int | None = None) -> FockVector:
         N = default_truncation(alpha0)
     plus = coherent_state(alpha0, N)
     minus = coherent_state(-alpha0, N)
-    return FockVector((plus.amplitudes + 1j * minus.amplitudes) / math.sqrt(2.0), N)
+    return FockVector((plus.amplitudes + 1j * minus.amplitudes) / math.sqrt(2.0))
 
 
 def ideal_stages(alpha0: complex, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -193,10 +189,11 @@ def run_ideal(p: ProtocolParams) -> FockVector:
     """Run the lossless pipeline and return the pre-measurement state.
 
     Applies the quarter-period Kerr map, the combined kick
-    (``p.effective_delta``), and the inverse Kerr map to ``|alpha0>``.
+    (``p.effective_delta``), and the inverse Kerr map to ``|alpha0>``, in a
+    space sized for the kicked amplitude.
     """
-    before, after = ideal_stages(p.alpha0, p.dim)
-    return FockVector(apply_kicks(before, -p.effective_delta, after)[:, 0], p.dim)
+    before, after = ideal_stages(p.alpha0, kicked_truncation(p.alpha0, p.effective_delta, p.truncation))
+    return FockVector(apply_kicks(before, -p.effective_delta, after)[:, 0])
 
 
 def mean_X_ideal(alpha: float, delta: float) -> float:
@@ -250,10 +247,10 @@ def branch_phase_shift(alpha0: complex, delta: float, N: int | None = None) -> f
     ``|-alpha0 - i*delta>`` by solving the 2x2 Gram system, and returns the
     argument of the branch-coefficient ratio relative to the unkicked
     superposition (which carries ``i`` on the reflected branch). For a real
-    amplitude the result is ``2*delta*alpha`` exactly.
+    amplitude the result is ``2*delta*alpha`` exactly. The default ``N`` is
+    sized for the kicked amplitude.
     """
-    if N is None:
-        N = default_truncation(alpha0)
+    N = kicked_truncation(alpha0, delta, N)
     U = kerr_unitary(math.pi / 2.0, N)
     psi = force_kick(delta, N) @ (U @ coherent_state(alpha0, N))
     b_plus = coherent_state(complex(alpha0) - 1j * delta, N)

@@ -90,9 +90,7 @@ def _ideal_rows(config: ExperimentConfig) -> list[CheckRow]:
     )
     N1 = default_truncation(1.0)
     kicked = force_kick(0.3, N1) @ coherent_state(1.0, N1)
-    closed = FockVector(
-        coherent_state(1.0 - 0.3j, N1).amplitudes * complex(math.cos(0.3), -math.sin(0.3)), N1
-    )
+    closed = FockVector(coherent_state(1.0 - 0.3j, N1).amplitudes * complex(math.cos(0.3), -math.sin(0.3)))
     rows.append(
         CheckRow(
             name="kick_action alpha=1 delta=0.3",
@@ -129,16 +127,19 @@ def _lossy_rows(config: ExperimentConfig) -> list[CheckRow]:
         )
     target = lp.xi * lp.eta**2 * alpha
     dist = quadrature_distribution(run_lossy_trajectory(alpha, 0.0, lp))
-    x, density = dist.density[:, 0], dist.density[:, 1]
+    x, density = dist.density.T
     # The peak sits at -xi*eta^2*alpha, which nears 0 under strong transfer loss.
-    mask = x < 0.0
-    peak = abs(float(x[mask][np.argmax(density[mask])]))
+    # The state is the coherent state |-xi*eta^2*alpha>, so its log-density is a parabola:
+    # the one through the grid argmax and its neighbours puts the peak between grid points.
+    i = int(np.argmax(np.where(x < 0.0, density, -np.inf)))
+    left, mid, right = np.log(density[i - 1 : i + 2])
+    peak = abs(float(x[i] + 0.5 * (x[1] - x[0]) * (left - right) / (left - 2.0 * mid + right)))
     rows.append(
         CheckRow(
             name=f"peak_contraction alpha={alpha:g}",
             analytic=target,
             numeric=peak,
-            tolerance=0.02 * target,
+            tolerance=1e-9 * target,
         )
     )
     rows.append(

@@ -265,6 +265,15 @@ class TestCommands:
         assert result.exit_code == 0, result.output
         assert "FAIL" not in result.output
 
+    @pytest.mark.parametrize("g, alpha0", [("40e3", "0.5"), ("32e3", "1.5")])
+    def test_validate_small_density_peak_passes(self, tmp_path, g, alpha0):
+        # The peak targets xi*eta^2*alpha, 0.040 and 0.029, span only ~7 and ~5 steps of the density grid.
+        path = tmp_path / "small_peak.ini"
+        path.write_text(LOSSY_SCENARIO.replace("g = 500e3", f"g = {g}").replace("alpha0 = 1.5", f"alpha0 = {alpha0}"))
+        result = self.runner.invoke(main, ["validate", "--config", str(path)])
+        assert result.exit_code == 0, result.output
+        assert "FAIL" not in result.output
+
     @pytest.mark.parametrize("tolerance", ["inf", "nan", "-1"])
     def test_validate_bad_tolerance_exits_two(self, tolerance):
         result = self.runner.invoke(main, ["validate", "--tolerance", tolerance])
@@ -446,6 +455,26 @@ class TestCommands:
         result = self.runner.invoke(main, ["shots", "--config", str(path), "--shots", "200"])
         assert result.exit_code == 0, result.output
         assert calls == [0.0]
+
+    def test_shots_below_the_float_range_of_the_occupation(self, tmp_path):
+        # At 1e-7 K exp(hbar*omega/(k*T)) overflows; the occupation is 0, as at 0 K.
+        counts = []
+        for temp in ("0.0", "1e-7"):
+            path = tmp_path / f"cold_{temp}.ini"
+            path.write_text(LOSSY_SCENARIO.replace("temp = 0.0", f"temp = {temp}"))
+            result = self.runner.invoke(main, ["shots", "--config", str(path), "--shots", "500"])
+            assert result.exit_code == 0, result.output
+            counts.append(re.search(r"m_counts\s*=\s*(\d+)", result.output).group(1))
+        assert counts[0] == counts[1]
+
+    def test_offset_without_kerr_stage_survival_exits_two(self, tmp_path):
+        # lambda_kerr = 50 Hz at kappa = 100 kHz makes eta underflow to 0, so the offset is undefined.
+        path = tmp_path / "slow_kerr.ini"
+        path.write_text(LOSSY_SCENARIO.replace("lambda_kerr = 7e6", "lambda_kerr = 50"))
+        with pytest.warns(UserWarning, match="emission probability"):
+            result = self.runner.invoke(main, ["shots", "--config", str(path), "--shots", "100"])
+        assert result.exit_code == 2, result.output
+        assert "offset is undefined" in result.output
 
     def test_sweep_non_integral_shots_exits_two(self, tmp_path):
         out = tmp_path / "shots.csv"

@@ -9,7 +9,7 @@ import pytest
 
 from kerrcat.loss import LossParams
 from kerrcat.montecarlo import ExperimentConfig, ForceSpec
-from kerrcat.protocol import PhysicalForce, ProtocolParams
+from kerrcat.protocol import PhysicalForce, ProtocolParams, run_ideal
 
 NAN = math.nan
 INF = math.inf
@@ -112,4 +112,4 @@ def test_invalid_truncation_is_rejected(name):
 
 
 def test_numpy_integer_truncation_is_accepted():
-    assert ProtocolParams(alpha0=2.0, truncation=np.int64(40)).dim == 40
+    assert run_ideal(ProtocolParams(alpha0=2.0, truncation=np.int64(40))).dim == 40

@@ -33,7 +33,7 @@ def unitarity_defect(op: FockOperator) -> float:
 
 def random_normalized_state(rng: np.random.Generator, N: int) -> FockVector:
     amps = rng.normal(size=N) + 1j * rng.normal(size=N)
-    return FockVector(amps / np.linalg.norm(amps), N)
+    return FockVector(amps / np.linalg.norm(amps))
 
 
 class TestCoherentState:
@@ -132,9 +132,7 @@ class TestForceKick:
         N = 48
         delta = 0.3
         moved = force_kick(delta, N) @ coherent_state(1.0 + 0j, N)
-        expected = FockVector(
-            np.exp(-1j * delta * 1.0) * coherent_state(1.0 - 0.3j, N).amplitudes, N
-        )
+        expected = FockVector(np.exp(-1j * delta * 1.0) * coherent_state(1.0 - 0.3j, N).amplitudes)
         assert np.linalg.norm(moved.amplitudes - expected.amplitudes) < 1e-8
 
     def test_opposite_kicks_cancel(self):
@@ -209,7 +207,7 @@ class TestProbQuadraturePositive:
 
             expected = quad(density, 0.0, np.inf, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
             expected /= np.vdot(c, c).real
-            assert abs(prob_quadrature_positive(FockVector(c, N)) - expected) < 1e-12
+            assert abs(prob_quadrature_positive(FockVector(c)) - expected) < 1e-12
 
     def test_parity_and_displacement(self):
         assert prob_quadrature_positive(coherent_state(0.0, 16)) == 0.5
@@ -236,6 +234,22 @@ class TestOperatorContracts:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             kerr_unitary(0.1, 8) @ coherent_state(0.5, 12)
+        with pytest.raises(ValueError):
+            kerr_unitary(0.1, 8) @ kerr_unitary(0.1, 12)
+
+    def test_mismatched_states_rejected(self):
+        small, large = coherent_state(0.5, 12), coherent_state(0.5, 16)
+        with pytest.raises(ValueError):
+            small.overlap(large)
+        with pytest.raises(ValueError):
+            fidelity(small, large)
+        with pytest.raises(ValueError):
+            kerr_unitary(0.1, 12).expectation(large)
+
+    def test_dimension_is_read_from_the_array(self):
+        assert coherent_state(0.5, 12).dim == 12
+        assert force_kick(0.1, 9).dim == 9
+        assert FockVector(np.ones(5)).normalized().dim == 5
 
     def test_amplitudes_are_read_only(self):
         psi = coherent_state(1.0, 20)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import kerrcat
+from kerrcat import fock, loss, montecarlo, protocol
 
 MODULES = sorted(Path(kerrcat.__file__).parent.glob("*.py"))
 
@@ -21,3 +22,11 @@ def test_no_private_names_imported_across_modules(path):
         if alias.name.startswith("_")
     ]
     assert not private, f"{path.name} imports private names: {private}"
+
+
+def test_package_exports_every_public_module_name():
+    exported = [name for module in (fock, protocol, loss, montecarlo) for name in module.__all__]
+    assert sorted(kerrcat.__all__) == sorted([*exported, "__version__"])
+    for module in (fock, protocol, loss, montecarlo):
+        for name in module.__all__:
+            assert getattr(kerrcat, name) is getattr(module, name), name

@@ -1,5 +1,6 @@
 """Tests for the lossy-transfer model against brute-force two-mode evolution."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -161,6 +162,15 @@ class TestThermalOccupation:
         values = [thermal_occupation(omega, t) for t in (0.001, 0.01, 0.1, 1.0)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("temp", [1e-7, 6e-7, 5e-324])
+    def test_vanishing_occupation_below_the_float_range(self, temp):
+        # exp(hbar*omega/(k*T)) overflows below ~6.8e-7 K at 10 MHz, and k*T underflows at 5e-324 K.
+        assert thermal_occupation(TWO_PI * 10e6, temp) == 0.0
+
+    def test_unchanged_just_inside_the_float_range(self):
+        omega, temp = TWO_PI * 10e6, 7e-7
+        assert thermal_occupation(omega, temp) == 1.0 / math.expm1(hbar * omega / (k_boltzmann * temp)) > 0.0
+
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
             thermal_occupation(0.0, 1.0)
@@ -314,14 +324,14 @@ class TestLossyKerrPropagator:
         rng = np.random.default_rng(7)
         for _ in range(100):
             raw = rng.normal(size=20) + 1j * rng.normal(size=20)
-            psi = FockVector(raw / np.linalg.norm(raw), 20)
-            assert FockVector(w * psi.amplitudes, 20).norm <= 1.0 + 1e-12
+            psi = FockVector(raw / np.linalg.norm(raw))
+            assert FockVector(w * psi.amplitudes).norm <= 1.0 + 1e-12
 
     def test_no_emission_probability_closed_form(self):
         lp = params_for(0.95, 0.01)
         alpha = 1.5
         w = no_emission_diagonal(math.pi / 2.0, lp, 38)
-        p0 = FockVector(w * coherent_state(alpha, 38).amplitudes, 38).norm ** 2
+        p0 = FockVector(w * coherent_state(alpha, 38).amplitudes).norm ** 2
         kt = lp.kappa * lp.tau_kerr
         exact = math.exp(-alpha * alpha * (1.0 - math.exp(-kt)))
         assert abs(p0 - exact) < 1e-10
@@ -358,7 +368,7 @@ class TestSingleEmissionState:
         lp = params_for(0.9, 0.1 / alpha**2)
         N = 38
         w = no_emission_diagonal(math.pi / 2.0, lp, N)
-        p0 = FockVector(w * coherent_state(alpha, N).amplitudes, N).norm ** 2
+        p0 = FockVector(w * coherent_state(alpha, N).amplitudes).norm ** 2
         times = np.linspace(0.0, lp.tau_kerr, 81)
         weights = [single_emission_state(t, math.pi / 2.0, alpha, lp, N)[1] for t in times]
         p1 = lp.kappa * float(np.trapezoid(weights, times))
@@ -510,6 +520,21 @@ class TestLossyOffset:
     def test_rejects_zero_amplitude(self):
         with pytest.raises(ValueError):
             lossy_offset(0.0, reference_params())
+
+    def test_rejects_vanished_kerr_stage_survival(self):
+        # At lambda/2pi = 50 Hz and the reference kappa, eta = exp(-kappa*tau/2) underflows to 0.
+        lp = dataclasses.replace(reference_params(), lambda_kerr=TWO_PI * 50.0)
+        assert lp.eta == 0.0
+        with pytest.raises(ValueError, match="offset is undefined"):
+            lossy_offset(1.5, lp)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.2])
+    def test_small_amplitude_trajectory_matches_closed_form(self, alpha):
+        # The offset is a kick of ~2-5 here, so the default space must be sized for it.
+        lp = reference_params()
+        off = lossy_offset(alpha, lp)
+        got = quadrature_distribution(run_lossy_trajectory(alpha, off, lp)).mean_X
+        assert abs(got - mean_X_lossy(alpha, off, lp)) < 1e-12
 
     def test_offset_makes_zero_force_coin_fair(self):
         lp = reference_params()

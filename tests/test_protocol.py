@@ -123,6 +123,10 @@ class TestBranchPhaseShift:
     def test_zero_kick_gives_zero_phase(self):
         assert abs(branch_phase_shift(2.0, 0.0)) < 1e-10
 
+    def test_default_space_holds_a_large_kick(self):
+        # The kicked branches sit near |0.5 - 3i>, far outside a space sized for |alpha0| alone.
+        assert abs(branch_phase_shift(0.5, 3.0) - 3.0) < 1e-12
+
 
 class TestOffsetAndParams:
     def test_offset_value(self):
@@ -141,9 +145,10 @@ class TestOffsetAndParams:
             ProtocolParams(alpha0=0.5j, apply_offset=True)
 
     def test_dim_defaults_to_truncation_rule(self):
-        p = ProtocolParams(alpha0=2.0)
-        assert p.dim == default_truncation(2.0)
-        assert ProtocolParams(alpha0=2.0, truncation=64).dim == 64
+        # The default space is sized for the kicked amplitude |alpha0| + |kick|.
+        p = ProtocolParams(alpha0=2.0, delta=0.3, apply_offset=True)
+        assert run_ideal(p).dim == default_truncation(2.0 + p.effective_delta)
+        assert run_ideal(ProtocolParams(alpha0=2.0, truncation=64)).dim == 64
 
     def test_offset_moves_mean_to_interpeak_point(self):
         # With the offset applied and no force, the mean quadrature sits
@@ -214,7 +219,7 @@ class TestRunIdeal:
     @pytest.mark.parametrize("delta", [-0.1, 0.0, 0.07])
     def test_matches_dense_operator_product(self, alpha0, delta):
         p = ProtocolParams(alpha0=alpha0, delta=delta)
-        N = p.dim
+        N = run_ideal(p).dim
         U = kerr_unitary(math.pi / 2.0, N)
         want = U.dagger @ (force_kick(delta, N) @ (U @ coherent_state(alpha0, N)))
         assert np.max(np.abs(run_ideal(p).amplitudes - want.amplitudes)) <= 1e-13
@@ -226,7 +231,13 @@ class TestRunIdeal:
     def test_zero_kick_returns_initial_coherent_state(self):
         p = ProtocolParams(alpha0=2.0, delta=0.0)
         psi = run_ideal(p)
-        assert fidelity(psi, coherent_state(2.0, p.dim)) > 1.0 - 1e-10
+        assert fidelity(psi, coherent_state(2.0, psi.dim)) > 1.0 - 1e-10
+
+    @pytest.mark.parametrize("alpha0", [0.05, 0.1])
+    def test_small_amplitude_offset_matches_closed_form(self, alpha0):
+        # The offset pi/(8*alpha0) is a kick of 4-8, so the default space must be sized for it.
+        p = ProtocolParams(alpha0=alpha0, apply_offset=True)
+        assert abs(mean_quadrature(run_ideal(p)) - mean_X_ideal(alpha0, p.effective_delta)) < 1e-12
 
     def test_mean_is_even_in_amplitude_sign_at_zero_kick(self):
         a = mean_quadrature(run_ideal(ProtocolParams(alpha0=2.0)))
