@@ -62,6 +62,10 @@ SCENARIOS = {
     ),
     # Crosses several 2**16-shot chunk boundaries and ends on a ragged chunk.
     "lossy-thermal-150001": lambda: _lossy(temp=0.1, shots=150_001, seed=8),
+    # Two full 2**16-shot chunks of distinct thermal kicks and a 7-shot tail.
+    "lossy-thermal-two-chunks-and-tail": lambda: _lossy(temp=0.05, shots=2 * 2**16 + 7, seed=11),
+    # At 300 K a chunk's kicks span too wide a range to fit p1 over it.
+    "lossy-300K-alpha0-2.5": lambda: _lossy(alpha0=2.5, temp=300.0, shots=2**16 + 3, seed=12),
     # Constant-kick runs: every shot shares one kick and nothing is emitted.
     "ideal-150001": lambda: ExperimentConfig(
         protocol=ProtocolParams(alpha0=2.0, delta=0.005, apply_offset=True), shots=150_001, seed=9
