@@ -233,8 +233,8 @@ class KickStats:
         return math.sqrt(self.variance)
 
 
-def _quad_strict(integrand: Callable[[float], float], a: float, b: float) -> float:
-    """Adaptive quadrature that raises instead of silently degrading.
+def _quad_strict(integrand: Callable[[float], float], a: float, b: float, limit: int) -> float:
+    """Adaptive quadrature, with at most ``limit`` subintervals, that raises instead of silently degrading.
 
     With ``full_output`` ``quad`` returns its failure message instead of
     warning it. Turning the warning into an error would need a
@@ -244,7 +244,7 @@ def _quad_strict(integrand: Callable[[float], float], a: float, b: float) -> flo
     """
     from scipy.integrate import quad
 
-    value, _, _, *message = quad(integrand, a, b, full_output=1, limit=800, epsabs=1e-14, epsrel=1e-11)
+    value, _, _, *message = quad(integrand, a, b, full_output=1, limit=limit, epsabs=1e-14, epsrel=1e-11)
     if message:
         raise RuntimeError(f"kick quadrature did not converge: {message[0]}")
     return value
@@ -260,20 +260,31 @@ def momentum_kick_stats(force_fn: Callable[[float], float], lp: LossParams) -> K
     (the ``+1`` is the vacuum port, present even at zero temperature):
     ``variance = (2*n_bar + 1) * INT_0^{T_swap} sin^2(nu*s) * cos^2(omega*s) ds``.
 
-    Both integrals are evaluated by adaptive quadrature; a convergence
-    failure raises ``RuntimeError``.
+    The variance filter is a sum of cosines, integrated in closed form. The
+    mean integral is evaluated by adaptive quadrature, with a subdivision
+    limit that grows with the mechanical half-periods in the swap; a
+    convergence failure raises ``RuntimeError``.
     """
     nu, omega, t_swap = lp.nu, lp.omega_m, lp.T_swap
 
     def mean_integrand(s: float) -> float:
         return (math.sin(nu * s) * complex(force_fn(s)) * complex(math.cos(omega * s), math.sin(omega * s))).real
 
-    def var_integrand(s: float) -> float:
-        sv = math.sin(nu * s) * math.cos(omega * s)
-        return sv * sv
+    def cosine_integral(k: float) -> float:
+        # INT_0^{T_swap} cos(2 k s) ds
+        return t_swap if k == 0.0 else math.sin(2.0 * k * t_swap) / (2.0 * k)
 
-    mean = _quad_strict(mean_integrand, 0.0, t_swap)
-    variance = (2.0 * lp.n_bar + 1.0) * _quad_strict(var_integrand, 0.0, t_swap)
+    # sin^2(nu s) cos^2(omega s) = (1 + cos 2 omega s - cos 2 nu s - cos 2 nu s cos 2 omega s) / 4
+    var_filter = 0.25 * (
+        t_swap
+        + cosine_integral(omega)
+        - cosine_integral(nu)
+        - 0.5 * cosine_integral(omega + nu)
+        - 0.5 * cosine_integral(omega - nu)
+    )
+    limit = max(800, math.ceil(4.0 * omega * t_swap / math.pi))
+    mean = _quad_strict(mean_integrand, 0.0, t_swap, limit)
+    variance = (2.0 * lp.n_bar + 1.0) * var_filter
     return KickStats(mean=mean, variance=variance)
 
 

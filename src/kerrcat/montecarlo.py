@@ -15,11 +15,17 @@ regardless of scheduling.
 
 Two outcome engines are provided. The ``analytic`` engine evaluates
 ``p1`` exactly from the coherent-branch algebra (closed-form Gaussian
-half-line integrals), vectorized over shots. The ``brute-force`` engine
+half-line integrals), vectorized over kicks. The ``brute-force`` engine
 rebuilds the final states of a batch of kicks in the truncated number basis,
 applying the kicks in the eigenbasis of ``a + a_dag``, and reads
 ``Prob(X > 0)`` off their amplitudes through the exact half-line Hermite
 overlaps; it is the independent validation path.
+
+A shot needs ``p1`` only to compare it with its outcome uniform. So a chunk
+of distinct thermal kicks evaluates the engine at a few Chebyshev points of
+the chunk's kick range, decides its shots from the fitted series, and hands
+back to the engine only the shots whose uniform lies within ``_TIE_BAND`` of
+the fit (see :func:`run_experiment`).
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 from scipy.special import ndtri, roots_hermite
 
 from kerrcat._coherent import ideal_pipeline, kicked_prob_x_positive, lossy_pipeline
@@ -73,6 +80,18 @@ _MIN_HERMITE_NODES = 21
 _MAX_HERMITE_NODES = 2**16
 #: Two successive rules of the kick average that agree this closely have converged.
 _HERMITE_TOL = 1e-12
+
+#: Lowest and highest degree of the Chebyshev fit of a chunk's ``p1``; past the
+#: highest, evaluating the series costs about as much as the engine on every shot.
+_MIN_FIT_DEGREE = 8
+_MAX_FIT_DEGREE = 64
+#: A fit evaluates the engine at no more than ``2 * _MAX_FIT_DEGREE + 1`` points,
+#: a 32nd of this many shots; smaller chunks run the engine on every shot.
+_MIN_FIT_SHOTS = 32 * (2 * _MAX_FIT_DEGREE + 1)
+#: A fit is accepted when it meets the engine this closely where it was not fitted.
+_FIT_TOL = 1e-14
+#: Shots whose outcome uniform lies this close to the fitted ``p1`` are decided by the engine.
+_TIE_BAND = 1e-12
 
 #: Largest single-mode dimension the brute-force engine accepts.
 MAX_BRUTE_FORCE_DIM = 160
@@ -213,17 +232,25 @@ def _p1_analytic(delta_prime, config: ExperimentConfig):
     return np.clip(kicked_prob_x_positive(pair), 0.0, 1.0)
 
 
+def _p1_bandwidth(config: ExperimentConfig) -> float:
+    """Angular frequency, per unit kick, up to which ``p1`` varies: ``4|Re alpha0| + 18``.
+
+    ``p1`` oscillates in the kick at the fringe frequency
+    ``2(1 + eta^2) Re h <= 4|Re alpha0|``, and its Gaussian factors add a
+    bandwidth of about 18.
+    """
+    return 4.0 * abs(complex(config.protocol.alpha0).real) + 18.0
+
+
 def _kick_average(stats: KickStats, config: ExperimentConfig) -> float:
     """``E[p1]`` over the Gaussian kick, by Gauss-Hermite rules of doubling size.
 
-    The first rule has ``(std * (4|Re alpha0| + 18) / 2)^2`` nodes, at least
-    ``_MIN_HERMITE_NODES``: ``p1`` oscillates in the kick at the fringe
-    frequency ``2(1 + eta^2) Re h <= 4|Re alpha0|``, and its Gaussian factors
-    add a bandwidth of about 18 (measured: this count is within a factor 2 of
-    the fewest nodes that reach 1e-13, for |alpha0| <= 6 and kick std <= 2.5).
-    Returns the first rule that agrees with the next, twice as large, to
-    ``_HERMITE_TOL``. Warns if no rule up to ``_MAX_HERMITE_NODES`` nodes
-    converges, and returns the largest one.
+    The first rule has ``(std * bandwidth / 2)^2`` nodes (see
+    :func:`_p1_bandwidth`), at least ``_MIN_HERMITE_NODES`` (measured: this
+    count is within a factor 2 of the fewest nodes that reach 1e-13, for
+    |alpha0| <= 6 and kick std <= 2.5). Returns the first rule that agrees
+    with the next, twice as large, to ``_HERMITE_TOL``. Warns if no rule up to
+    ``_MAX_HERMITE_NODES`` nodes converges, and returns the largest one.
     """
 
     def average(n: int) -> float:
@@ -231,7 +258,7 @@ def _kick_average(stats: KickStats, config: ExperimentConfig) -> float:
         deltas = stats.mean + math.sqrt(2.0 * stats.variance) * nodes
         return float(weights @ _p1_analytic(deltas, config)) / math.sqrt(math.pi)
 
-    spread = stats.std * (4.0 * abs(complex(config.protocol.alpha0).real) + 18.0)
+    spread = stats.std * _p1_bandwidth(config)
     n = min(max(_MIN_HERMITE_NODES, math.ceil((spread / 2.0) ** 2)), _MAX_HERMITE_NODES)
     estimate = average(n)
     while 2 * n <= _MAX_HERMITE_NODES:
@@ -297,6 +324,79 @@ def outcome_probability(delta_prime, config: ExperimentConfig):
     engine = _p1_analytic if config.engine == "analytic" else _p1_brute_force
     result = engine(arr, config)
     return float(result) if arr.ndim == 0 else result
+
+
+def _lobatto(n: int) -> np.ndarray:
+    """The ``n + 1`` Chebyshev-Lobatto points ``cos(pi j / n)``, from 1 down to -1."""
+    return np.cos(np.pi * np.arange(n + 1) / n)
+
+
+def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
+    """Chebyshev series of degree ``n`` through ``values`` at ``_lobatto(n)`` (a DCT-I).
+
+    ``jk`` is reduced mod ``2n`` before the cosine, so no argument exceeds ``2 pi``.
+    """
+    n = values.size - 1
+    k = np.arange(n + 1)
+    ends = np.ones(n + 1)
+    ends[[0, -1]] = 0.5
+    cosines = np.cos(np.pi * (np.outer(k, k) % (2 * n)) / n)
+    return ends * (cosines @ (ends * values)) * (2.0 / n)
+
+
+def _chebyshev_fit(p1_at, degree: int) -> np.ndarray | None:
+    """Chebyshev series of ``p1_at`` on [-1, 1] that meets it to ``_FIT_TOL``, or ``None``.
+
+    Degree ``d`` is fitted through ``_lobatto(d)`` and checked at the ``d``
+    points between them, where it was not fitted: together they are
+    ``_lobatto(2 d)``. A failed check doubles ``d``, and the check points join
+    the fit's, so ``p1_at`` sees each point once. Returns ``None`` once ``d``
+    would pass ``_MAX_FIT_DEGREE``, after at most ``2 * _MAX_FIT_DEGREE + 1`` points.
+    """
+    nodes = _lobatto(2 * degree)
+    values = p1_at(nodes)
+    while True:
+        coeffs = _chebyshev_coefficients(values[::2])
+        if np.max(np.abs(chebval(nodes[1::2], coeffs) - values[1::2])) <= _FIT_TOL:
+            return coeffs
+        degree *= 2
+        if degree > _MAX_FIT_DEGREE:
+            return None
+        nodes = _lobatto(2 * degree)
+        finer = np.empty(nodes.size)
+        finer[::2] = values
+        finer[1::2] = p1_at(nodes[1::2])
+        values = finer
+
+
+def _chunk_p1(kicks: np.ndarray, u_out: np.ndarray, config: ExperimentConfig) -> np.ndarray:
+    """``p1`` of each kick of a chunk, from the engine wherever ``u_out < p1`` could depend on it.
+
+    The fit and its fall-backs are described in :func:`run_experiment`.
+    """
+    lo, hi = float(np.min(kicks)), float(np.max(kicks))
+    # Over a half-width (hi - lo)/2, a band limit B takes a degree of about B (hi - lo)/2.
+    degree = _MIN_FIT_DEGREE
+    while degree < (hi - lo) * _p1_bandwidth(config) / 2.0:
+        degree *= 2
+    if kicks.size < _MIN_FIT_SHOTS or not hi > lo or degree > _MAX_FIT_DEGREE:
+        return outcome_probability(kicks, config)
+
+    def p1_at(deltas):
+        # The extreme kicks ride along, so the brute-force engine sizes N as for the whole chunk.
+        return outcome_probability(np.concatenate(([lo, hi], deltas)), config)[2:]
+
+    def p1_at_unit(t):
+        return p1_at(0.5 * (lo * (1.0 - t) + hi * (1.0 + t)))
+
+    coeffs = _chebyshev_fit(p1_at_unit, degree)
+    if coeffs is None:
+        return outcome_probability(kicks, config)
+    p1 = chebval((2.0 * kicks - (lo + hi)) / (hi - lo), coeffs)
+    near = np.flatnonzero(np.abs(u_out - p1) <= _TIE_BAND)
+    if near.size:
+        p1[near] = p1_at(kicks[near])
+    return p1
 
 
 def coin_bias_from_signal(signal: float, peak: float) -> float:
@@ -368,10 +468,23 @@ def run_experiment(config: ExperimentConfig) -> SignalEstimate:
 
     Shots run in chunks of ``_CHUNK_SHOTS``, so memory stays bounded at any
     shot count. A Philox stream yields the same uniforms whether drawn at
-    once or in chunks, so chunking moves no uniform. ``p1`` is not exact in
-    the same way: the analytic engine's value for one kick can differ by up
-    to one ulp with the length of the batch it is evaluated in. Count
-    identity across chunkings is shown by the pinned goldens, not implied.
+    once or in chunks, so chunking moves no uniform.
+
+    A chunk of distinct kicks of at least ``_MIN_FIT_SHOTS`` shots does not
+    evaluate the engine per shot. It fits a Chebyshev series to ``p1`` over
+    the chunk's kick range, starting at the degree that the range times
+    :func:`_p1_bandwidth` asks for, through at most
+    ``2 * _MAX_FIT_DEGREE + 1`` engine values, and accepts it only where it
+    meets the engine to ``_FIT_TOL = 1e-14`` at points it was not fitted on
+    (:func:`_chebyshev_fit`). That agreement is checked at those points
+    only; between them it rests on ``p1`` being analytic in the kick. Every
+    shot whose uniform lies within ``_TIE_BAND = 1e-12`` of the fitted
+    ``p1`` is decided by the engine itself, and every other shot lies 100
+    check tolerances away from its fitted ``p1``, so it gets the outcome
+    ``u < p1`` of the engine. A chunk that no fit meets, and a shorter
+    chunk, evaluate the engine at every kick. The engine's own value for
+    one kick can differ by up to one ulp with the length of the batch it is
+    evaluated in; outside the band that cannot move an outcome either.
 
     Each shot draws and evaluates only what its outcome depends on. With a
     zero-variance kick (the ideal model) every shot shares one kick, so
@@ -393,10 +506,9 @@ def _simulate(config: ExperimentConfig, stats: KickStats, p_emit: float, p1) -> 
     m_counts = 0
     for start in range(0, m_total, _CHUNK_SHOTS):
         size = min(_CHUNK_SHOTS, m_total - start)
-        if not constant_kick:
-            kicks = sample_kick(kick_rng, stats, size=size)
-            p1 = np.asarray(outcome_probability(kicks, config))
         u_out = out_rng.random(size)
+        if not constant_kick:
+            p1 = _chunk_p1(sample_kick(kick_rng, stats, size=size), u_out, config)
         if p_emit == 0.0:
             heads = u_out < p1
         else:

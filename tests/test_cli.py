@@ -274,6 +274,16 @@ class TestCommands:
         assert result.exit_code == 0, result.output
         assert "FAIL" not in result.output
 
+    @pytest.mark.parametrize("force", ["", "[force]\nshape = resonant-cosine\namplitude = 1e5\nphase = 0.3\n"])
+    @pytest.mark.parametrize("g", ["26e3", "25.5e3"])
+    def test_shots_near_the_overdamped_edge(self, tmp_path, g, force):
+        # The swap lasts ~700 mechanical periods; the kick statistics still converge.
+        path = tmp_path / "edge.ini"
+        text = LOSSY_SCENARIO.replace("g = 500e3", f"g = {g}").replace("alpha0 = 1.5", "alpha0 = 0.5")
+        path.write_text(text.replace("temp = 0.0", "temp = 0.05") + force)
+        result = self.runner.invoke(main, ["shots", "--config", str(path)])
+        assert result.exit_code == 0, result.output
+
     @pytest.mark.parametrize("tolerance", ["inf", "nan", "-1"])
     def test_validate_bad_tolerance_exits_two(self, tolerance):
         result = self.runner.invoke(main, ["validate", "--tolerance", tolerance])

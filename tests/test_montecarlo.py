@@ -216,11 +216,35 @@ class TestConfigValidation:
             outcome_probability(protocol.delta, config)
 
     def test_brute_force_thermal_batch_shares_one_dimension(self, monkeypatch):
+        # Every batch of a chunk (its fit's nodes and near-ties, or all the kicks
+        # of the 50-shot tail) is sized for the chunk's largest total kick,
+        # never kick by kick.
+        shots = montecarlo._CHUNK_SHOTS + 50
         shapes = spy_read_out(monkeypatch)
-        config = lossy_config(loss=reference_params(temp=30.0), shots=50, engine="brute-force")
+        dims = []
+        batch = montecarlo._p1_brute_force
+
+        def spy(delta_prime, config):
+            first = len(shapes)
+            result = batch(delta_prime, config)
+            dims.append({dim for dim, _ in shapes[first:]})
+            return result
+
+        monkeypatch.setattr(montecarlo, "_p1_brute_force", spy)
+        # At alpha0 = 0.5 the fit of a 30 K chunk doubles its degree once.
+        protocol = ProtocolParams(alpha0=0.5, apply_offset=True)
+        config = lossy_config(protocol=protocol, loss=reference_params(temp=30.0), shots=shots, engine="brute-force")
         run_experiment(config)
-        assert sum(kicks for _, kicks in shapes) == 50
-        assert len({dim for dim, _ in shapes}) == 1
+        kick_rng = _stream(config.seed)
+        stats = montecarlo._kick_stats(config)
+        wanted = []
+        for start in range(0, shots, montecarlo._CHUNK_SHOTS):
+            kicks = sample_kick(kick_rng, stats, size=min(montecarlo._CHUNK_SHOTS, shots - start))
+            total = kicks + lossy_offset(config.protocol.alpha, config.loss)
+            wanted.append(montecarlo._brute_force_dim(config, float(np.max(np.abs(total)))))
+        assert all(len(batch_dims) == 1 for batch_dims in dims)
+        assert {dim for batch_dims in dims for dim in batch_dims} == set(wanted)
+        assert len(dims) >= len(wanted)
 
     def test_force_spec_validation(self):
         with pytest.raises(ValueError):
@@ -335,10 +359,115 @@ class TestEngineCalls:
         assert sizes == [1]
 
     def test_thermal_kicks_evaluate_every_chunk(self, monkeypatch):
+        # A full chunk evaluates its fit's nodes, each batch with the chunk's two
+        # extreme kicks; the 5-shot tail evaluates every kick.
         sizes = self._spy(monkeypatch)
         chunk = montecarlo._CHUNK_SHOTS
         run_experiment(lossy_config(loss=reference_params(temp=0.05), shots=2 * chunk + 5, seed=3))
-        assert sizes == [chunk, chunk, 5]
+        nodes = 2 * montecarlo._MIN_FIT_DEGREE + 1
+        assert sizes == [nodes + 2, nodes + 2, 5]
+
+
+def _engine_counts(config: ExperimentConfig) -> int:
+    """``m_counts`` on the streams of ``run_experiment``, with the engine evaluated at every kick."""
+    stats, p_emit = montecarlo._kick_stats(config), montecarlo._emission_prob(config)
+    kick_rng, emit_rng, out_rng = (np.random.Generator(np.random.Philox(key=[config.seed, k])) for k in (1, 2, 3))
+    heads = 0
+    for start in range(0, config.shots, montecarlo._CHUNK_SHOTS):
+        size = min(montecarlo._CHUNK_SHOTS, config.shots - start)
+        p1 = outcome_probability(sample_kick(kick_rng, stats, size=size), config)
+        u_out = out_rng.random(size)
+        emitted = emit_rng.random(size) < p_emit if p_emit > 0.0 else np.zeros(size, dtype=bool)
+        heads += int(np.count_nonzero(np.where(emitted, u_out < 0.5, u_out < p1)))
+    return heads
+
+
+class TestChunkFit:
+    """A chunk of distinct kicks decides its shots from a Chebyshev fit of ``p1``."""
+
+    @pytest.mark.filterwarnings("ignore:emission probability exceeds")
+    @pytest.mark.parametrize("apply_offset", [True, False])
+    @pytest.mark.parametrize("temp", [0.0, 0.05, 1.0, 30.0, 300.0])
+    @pytest.mark.parametrize("alpha0", [0.5, 1.5, 2.5, 4.0, 1.0 + 1.0j])
+    def test_counts_equal_the_engine_at_every_kick(self, monkeypatch, alpha0, temp, apply_offset):
+        # Three fitted (or, when hot, direct) chunks and a 7-shot direct tail.
+        monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 2**13)
+        for seed in (1, 2):
+            config = lossy_config(
+                protocol=ProtocolParams(alpha0=alpha0, apply_offset=apply_offset),
+                loss=reference_params(temp=temp),
+                shots=3 * 2**13 + 7,
+                seed=seed,
+            )
+            assert run_experiment(config).m_counts == _engine_counts(config)
+
+    @pytest.mark.parametrize("apply_offset", [True, False])
+    @pytest.mark.parametrize("temp", [0.05, 30.0])
+    @pytest.mark.parametrize("alpha0", [0.5, 1.0 + 1.0j])
+    def test_brute_force_counts_equal_the_engine_at_every_kick(self, monkeypatch, alpha0, temp, apply_offset):
+        monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 2**13)
+        config = lossy_config(
+            protocol=ProtocolParams(alpha0=alpha0, apply_offset=apply_offset),
+            loss=reference_params(temp=temp),
+            shots=2 * 2**13 + 7,
+            seed=3,
+            engine="brute-force",
+        )
+        assert run_experiment(config).m_counts == _engine_counts(config)
+
+    @pytest.mark.filterwarnings("ignore:emission probability exceeds")
+    @pytest.mark.parametrize("temp", [0.05, 0.1, 1.0, 30.0, 100.0])
+    @pytest.mark.parametrize("alpha0", [0.5, 1.5, 4.0, 0.3 + 2.0j])
+    def test_fit_meets_the_engine_at_every_kick(self, alpha0, temp):
+        # Checked at points it was not fitted on, the fit also holds between them
+        # (measured: at most 7.0e-15 on this grid, both offsets, two seeds).
+        config = lossy_config(protocol=ProtocolParams(alpha0=alpha0, apply_offset=True), loss=reference_params(temp=temp))
+        kicks = sample_kick(_stream(1), montecarlo._kick_stats(config), size=montecarlo._CHUNK_SHOTS)
+        no_ties = np.full(kicks.size, 2.0)
+        fitted = montecarlo._chunk_p1(kicks, no_ties, config)
+        assert np.max(np.abs(fitted - outcome_probability(kicks, config))) <= montecarlo._FIT_TOL
+
+    def test_near_ties_are_decided_by_the_engine(self, monkeypatch):
+        config = lossy_config(loss=reference_params(temp=0.05))
+        kicks = sample_kick(_stream(4), montecarlo._kick_stats(config), size=montecarlo._CHUNK_SHOTS)
+        fitted = montecarlo._chunk_p1(kicks, np.full(kicks.size, 2.0), config)
+        band = montecarlo._TIE_BAND
+        u_out = np.random.default_rng(0).random(kicks.size)
+        u_out[[3, 500, 60_000]] = fitted[[3, 500, 60_000]]
+        u_out[7] = fitted[7] + 0.9 * band
+        u_out[9] = fitted[9] - 1.1 * band
+        ties = np.flatnonzero(np.abs(u_out - fitted) <= band)
+        assert list(ties) == [3, 7, 500, 60_000]
+        calls = []
+
+        def spy(delta_prime, config):
+            result = outcome_probability(delta_prime, config)
+            calls.append((np.array(delta_prime), result))
+            return result
+
+        monkeypatch.setattr(montecarlo, "outcome_probability", spy)
+        p1 = montecarlo._chunk_p1(kicks, u_out, config)
+        deltas, values = calls[-1]
+        np.testing.assert_array_equal(deltas, np.concatenate(([kicks.min(), kicks.max()], kicks[ties])))
+        np.testing.assert_array_equal(p1[ties], values[2:])
+        rest = np.setdiff1d(np.arange(kicks.size), ties)
+        np.testing.assert_array_equal(p1[rest], fitted[rest])
+
+    @pytest.mark.filterwarnings("ignore:emission probability exceeds")
+    def test_hot_chunks_fall_back_within_the_node_cap(self, monkeypatch):
+        sizes = TestEngineCalls._spy(monkeypatch)
+        chunk = montecarlo._CHUNK_SHOTS
+        protocol = ProtocolParams(alpha0=4.0, apply_offset=True)
+        config = lossy_config(protocol=protocol, loss=reference_params(temp=300.0), shots=chunk)
+        run_experiment(config)
+        assert sizes == [chunk]  # the bandwidth already asks for more than the cap
+        # Told the bandwidth is 1, the fit doubles to the cap, then gives up.
+        monkeypatch.setattr(montecarlo, "_p1_bandwidth", lambda config: 1.0)
+        sizes.clear()
+        run_experiment(config)
+        assert len(sizes) > 1 and sizes[-1] == chunk
+        # Each node batch carries the chunk's two extreme kicks.
+        assert sum(size - 2 for size in sizes[:-1]) <= 2 * montecarlo._MAX_FIT_DEGREE + 1
 
 
 class TestPrediction:
@@ -422,7 +551,18 @@ class TestBruteForceBatch:
 class TestBoundedMemory:
     def test_million_shot_run_stays_under_64_mb(self):
         # Shots run in fixed-size chunks, so the peak does not grow with M.
-        cfg = lossy_config(loss=reference_params(temp=0.05), shots=1_000_000, seed=9)
+        self._assert_under_64_mb(lossy_config(loss=reference_params(temp=0.05), shots=1_000_000, seed=9))
+
+    @pytest.mark.filterwarnings("ignore:emission probability exceeds")
+    def test_hot_million_shot_run_stays_under_64_mb(self):
+        # At 300 K the chunks evaluate the engine at every kick.
+        protocol = ProtocolParams(alpha0=4.0, delta=0.0, apply_offset=True)
+        self._assert_under_64_mb(
+            lossy_config(protocol=protocol, loss=reference_params(temp=300.0), shots=1_000_000, seed=9)
+        )
+
+    @staticmethod
+    def _assert_under_64_mb(cfg: ExperimentConfig) -> None:
         tracemalloc.start()
         try:
             estimate = run_experiment(cfg)
