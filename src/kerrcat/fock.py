@@ -45,8 +45,8 @@ __all__ = [
     "fidelity",
 ]
 
-#: Default bound on the population allowed in the top five Fock levels.
-DEFAULT_TAIL_TOL = 1e-8
+#: Bound on the population allowed in the top five Fock levels.
+TAIL_TOL = 1e-8
 
 
 class TruncationError(ValueError):
@@ -87,9 +87,9 @@ class FockVector:
         """Euclidean norm of the amplitude vector."""
         return float(np.linalg.norm(self.amplitudes))
 
-    def tail_mass(self, levels: int = 5) -> float:
-        """Population in the top ``levels`` Fock levels (truncation health)."""
-        return float(np.sum(np.abs(self.amplitudes[-levels:]) ** 2))
+    def tail_mass(self) -> float:
+        """Population in the top five Fock levels (truncation health)."""
+        return float(np.sum(np.abs(self.amplitudes[-5:]) ** 2))
 
     def normalized(self) -> "FockVector":
         """Return the unit-norm version of this state."""
@@ -194,7 +194,7 @@ def kicked_truncation(alpha0: complex, kick: float, truncation: int | None) -> i
     return truncation if truncation is not None else default_truncation(abs(alpha0) + abs(kick))
 
 
-def coherent_state(alpha: complex, N: int, tail_tol: float = DEFAULT_TAIL_TOL) -> FockVector:
+def coherent_state(alpha: complex, N: int) -> FockVector:
     """Coherent state ``|alpha>`` with amplitudes ``e^{-|alpha|^2/2} alpha^n / sqrt(n!)``.
 
     Amplitudes are generated by the stable recurrence
@@ -205,7 +205,7 @@ def coherent_state(alpha: complex, N: int, tail_tol: float = DEFAULT_TAIL_TOL) -
     Raises
     ------
     TruncationError
-        If the top five levels hold at least ``tail_tol`` probability.
+        If the top five levels hold at least ``TAIL_TOL`` probability.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -215,10 +215,10 @@ def coherent_state(alpha: complex, N: int, tail_tol: float = DEFAULT_TAIL_TOL) -
         amps[k] = amps[k - 1] * alpha / math.sqrt(k)
     state = FockVector(amps)
     tail = state.tail_mass()
-    if tail >= tail_tol:
+    if tail >= TAIL_TOL:
         raise TruncationError(
             f"coherent amplitude {alpha} needs a larger space than N={N}: "
-            f"top-level population {tail:.3e} >= {tail_tol:.3e}"
+            f"top-level population {tail:.3e} >= {TAIL_TOL:.3e}"
         )
     return state
 

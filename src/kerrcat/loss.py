@@ -339,15 +339,16 @@ def loss_channel(lp: LossParams, delta_prime: float, N: int) -> FockOperator:
     return FockOperator(displaced.reshape(N * N, N * N))
 
 
-def two_mode_conditional_mean(alpha: float, delta_prime: float, lp: LossParams, N: int = 24) -> float:
+def two_mode_conditional_mean(alpha: float, delta_prime: float, lp: LossParams) -> float:
     """Brute-force conditional mean quadrature of the lossy pipeline.
 
     Runs ``W(pi/2)``, ``loss_channel`` and ``W(pi/2)`` on system (x)
-    auxiliary (``N`` levels each, auxiliary starting in vacuum), projects the
+    auxiliary (24 levels each, auxiliary starting in vacuum), projects the
     auxiliary onto vacuum (no emission detected) and returns ``<X>`` of the
     normalized system state. This is the independent number-basis reference
     for ``mean_X_lossy``.
     """
+    N = 24
     w = no_emission_diagonal(math.pi / 2.0, lp, N)
     start = np.kron(w * coherent_state(alpha, N).amplitudes, np.eye(N)[0])
     psi = loss_channel(lp, delta_prime, N).entries @ start

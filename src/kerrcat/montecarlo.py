@@ -59,7 +59,6 @@ __all__ = [
     "SweepRow",
     "sample_kick",
     "outcome_probability",
-    "coin_bias_from_signal",
     "predicted_signal",
     "run_experiment",
     "sweep",
@@ -397,26 +396,6 @@ def _chunk_p1(kicks: np.ndarray, u_out: np.ndarray, config: ExperimentConfig) ->
     if near.size:
         p1[near] = p1_at(kicks[near])
     return p1
-
-
-def coin_bias_from_signal(signal: float, peak: float) -> float:
-    """Two-peak linear map from a mean-quadrature signal to a coin bias.
-
-    ``p1 = 1/2 + signal/(2*peak)`` where ``peak`` is the homodyne peak
-    position (ideal: ``alpha``; lossy: ``xi*eta^2*alpha``). The map is only
-    meaningful while the mean sits between the peaks: the result is clamped
-    to ``[0, 1]``, and a clamp beyond 5% outside that range warns that the
-    linear model has broken down.
-    """
-    if peak <= 0.0:
-        raise ValueError("peak position must be strictly positive")
-    raw = 0.5 + signal / (2.0 * peak)
-    if raw < -0.05 or raw > 1.05:
-        warnings.warn(
-            f"two-peak linear map gave p1 = {raw:.3f}, clamped into [0, 1]: model breakdown",
-            stacklevel=2,
-        )
-    return min(max(raw, 0.0), 1.0)
 
 
 def _kick_stats(config: ExperimentConfig) -> KickStats:

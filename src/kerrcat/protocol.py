@@ -239,7 +239,7 @@ def shot_errors(pf: PhysicalForce, alpha: float) -> tuple[float, float]:
     return eps_c, eps_c / (2.0 * alpha)
 
 
-def branch_phase_shift(alpha0: complex, delta: float, N: int | None = None) -> float:
+def branch_phase_shift(alpha0: complex, delta: float) -> float:
     """Relative phase imprinted between the superposition branches by a kick.
 
     Builds the kicked superposition (quarter-period Kerr then kick), expands
@@ -247,10 +247,10 @@ def branch_phase_shift(alpha0: complex, delta: float, N: int | None = None) -> f
     ``|-alpha0 - i*delta>`` by solving the 2x2 Gram system, and returns the
     argument of the branch-coefficient ratio relative to the unkicked
     superposition (which carries ``i`` on the reflected branch). For a real
-    amplitude the result is ``2*delta*alpha`` exactly. The default ``N`` is
-    sized for the kicked amplitude.
+    amplitude the result is ``2*delta*alpha`` exactly. The space is sized
+    for the kicked amplitude.
     """
-    N = kicked_truncation(alpha0, delta, N)
+    N = kicked_truncation(alpha0, delta, None)
     U = kerr_unitary(math.pi / 2.0, N)
     psi = force_kick(delta, N) @ (U @ coherent_state(alpha0, N))
     b_plus = coherent_state(complex(alpha0) - 1j * delta, N)

@@ -24,6 +24,7 @@ from kerrcat.fock import (
     quadrature_distribution,
 )
 from kerrcat.loss import (
+    LossParams,
     emission_probability,
     mean_X_lossy,
     momentum_kick_stats,
@@ -112,6 +113,28 @@ def _ideal_rows(config: ExperimentConfig) -> list[CheckRow]:
     return rows
 
 
+def _kick_variance_by_quadrature(lp: LossParams) -> float:
+    """``(2*n_bar + 1) * INT_0^{T_swap} sin^2(nu*s) * cos^2(omega*s) ds`` by quadrature.
+
+    With ``cos^2(omega*s) = (1 + cos(2*omega*s))/2`` the filter is ``h(s)``
+    plus ``h(s)*cos(2*omega*s)``, ``h(s) = sin^2(nu*s)/2``; the second term
+    goes to QUADPACK's oscillatory-weight rule (QAWO). A quadrature that
+    reports non-convergence gives NaN, so the row fails.
+    """
+    from scipy.integrate import quad
+
+    def h(s: float) -> float:
+        return 0.5 * math.sin(lp.nu * s) ** 2
+
+    total = 0.0
+    for weight in ({}, {"weight": "cos", "wvar": 2.0 * lp.omega_m}):
+        value, _, _, *message = quad(h, 0.0, lp.T_swap, full_output=1, epsabs=1e-14, epsrel=1e-11, **weight)
+        if message:
+            return math.nan
+        total += value
+    return (2.0 * lp.n_bar + 1.0) * total
+
+
 def _lossy_rows(config: ExperimentConfig) -> list[CheckRow]:
     lp = config.loss
     rows = []
@@ -126,20 +149,14 @@ def _lossy_rows(config: ExperimentConfig) -> list[CheckRow]:
             )
         )
     target = lp.xi * lp.eta**2 * alpha
-    dist = quadrature_distribution(run_lossy_trajectory(alpha, 0.0, lp))
-    x, density = dist.density.T
-    # The peak sits at -xi*eta^2*alpha, which nears 0 under strong transfer loss.
-    # The state is the coherent state |-xi*eta^2*alpha>, so its log-density is a parabola:
-    # the one through the grid argmax and its neighbours puts the peak between grid points.
-    i = int(np.argmax(np.where(x < 0.0, density, -np.inf)))
-    left, mid, right = np.log(density[i - 1 : i + 2])
-    peak = abs(float(x[i] + 0.5 * (x[1] - x[0]) * (left - right) / (left - 2.0 * mid + right)))
+    # The zero-kick no-emission trajectory is the coherent state |-xi*eta^2*alpha>,
+    # whose density peaks at its mean.
     rows.append(
         CheckRow(
             name=f"peak_contraction alpha={alpha:g}",
             analytic=target,
-            numeric=peak,
-            tolerance=1e-9 * target,
+            numeric=-mean_quadrature(run_lossy_trajectory(alpha, 0.0, lp)),
+            tolerance=1e-12 * target,
         )
     )
     rows.append(
@@ -150,19 +167,13 @@ def _lossy_rows(config: ExperimentConfig) -> list[CheckRow]:
             tolerance=1e-12,
         )
     )
-    omega, nu, t = lp.omega_m, lp.nu, lp.T_swap
-    cross = t if omega == nu else math.sin(2.0 * (omega - nu) * t) / (2.0 * (omega - nu))
-    closed_var = (2.0 * lp.n_bar + 1.0) * (
-        t / 4.0
-        + math.sin(2.0 * omega * t) / (8.0 * omega)
-        - (math.sin(2.0 * (omega + nu) * t) / (2.0 * (omega + nu)) + cross) / 8.0
-    )
+    variance = momentum_kick_stats(lambda s: 0.0, lp).variance
     rows.append(
         CheckRow(
             name="kick_variance zero_force",
-            analytic=closed_var,
-            numeric=momentum_kick_stats(lambda s: 0.0, lp).variance,
-            tolerance=max(1e-6 * closed_var, 1e-20),
+            analytic=variance,
+            numeric=_kick_variance_by_quadrature(lp),
+            tolerance=1e-12 * variance,
         )
     )
     N = default_truncation(alpha)

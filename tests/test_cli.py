@@ -226,6 +226,32 @@ class TestValidationRows:
         rows = validation_rows(default_config(), tolerance=0.0)
         assert any(not row.passed for row in rows)
 
+    @staticmethod
+    def kick_variance_row():
+        rows = validation_rows(parse_scenario(LOSSY_SCENARIO))
+        return next(row for row in rows if row.name.startswith("kick_variance"))
+
+    def test_kick_variance_row_catches_a_relative_error_of_1e_9(self, monkeypatch):
+        def scaled(force_fn, lp):
+            stats = momentum_kick_stats(force_fn, lp)
+            return dataclasses.replace(stats, variance=stats.variance * (1.0 + 1e-9))
+
+        monkeypatch.setattr("kerrcat.validation.momentum_kick_stats", scaled)
+        assert not self.kick_variance_row().passed
+
+    def test_kick_variance_row_fails_when_its_quadrature_does_not_converge(self, monkeypatch):
+        import scipy.integrate
+
+        quad = scipy.integrate.quad
+
+        def unconverged_qawo(*args, **kwargs):
+            if "weight" in kwargs:
+                return 0.0, 1.0, {}, "The maximum number of subdivisions (50) has been achieved."
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.integrate, "quad", unconverged_qawo)
+        assert not self.kick_variance_row().passed
+
 
 class TestCommands:
     def setup_method(self):
@@ -265,9 +291,11 @@ class TestCommands:
         assert result.exit_code == 0, result.output
         assert "FAIL" not in result.output
 
-    @pytest.mark.parametrize("g, alpha0", [("40e3", "0.5"), ("32e3", "1.5")])
+    @pytest.mark.parametrize(
+        "g, alpha0", [("40e3", "0.5"), ("32e3", "1.5"), ("26e3", "0.5"), ("25.5e3", "0.5")]
+    )
     def test_validate_small_density_peak_passes(self, tmp_path, g, alpha0):
-        # The peak targets xi*eta^2*alpha, 0.040 and 0.029, span only ~7 and ~5 steps of the density grid.
+        # The peak targets xi*eta^2*alpha run from 0.040 down to 7.6e-8; the row holds them to 1e-12 relative.
         path = tmp_path / "small_peak.ini"
         path.write_text(LOSSY_SCENARIO.replace("g = 500e3", f"g = {g}").replace("alpha0 = 1.5", f"alpha0 = {alpha0}"))
         result = self.runner.invoke(main, ["validate", "--config", str(path)])

@@ -21,7 +21,6 @@ from kerrcat.montecarlo import (
     SWEEP_AXES,
     ExperimentConfig,
     ForceSpec,
-    coin_bias_from_signal,
     outcome_probability,
     predicted_signal,
     run_experiment,
@@ -151,32 +150,6 @@ class TestOutcomeProbability:
         p_plus = outcome_probability(0.01, cfg)
         assert p_plus < p0
         assert 0.0 < p_plus < 1.0
-
-
-class TestCoinBiasFromSignal:
-    def test_linear_map_value(self):
-        assert coin_bias_from_signal(0.2, 2.0) == pytest.approx(0.55, abs=1e-15)
-        assert coin_bias_from_signal(0.0, 1.3) == pytest.approx(0.5, abs=1e-15)
-
-    def test_small_overshoot_clamps_silently(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert coin_bias_from_signal(1.08, 1.0) == 1.0
-            assert coin_bias_from_signal(-1.08, 1.0) == 0.0
-
-    def test_large_overshoot_warns_and_clamps(self):
-        with pytest.warns(UserWarning, match="model breakdown"):
-            assert coin_bias_from_signal(2.5, 1.0) == 1.0
-        with pytest.warns(UserWarning, match="model breakdown"):
-            assert coin_bias_from_signal(-2.3, 1.0) == 0.0
-
-    def test_nonpositive_peak_rejected(self):
-        with pytest.raises(ValueError):
-            coin_bias_from_signal(0.1, 0.0)
-        with pytest.raises(ValueError):
-            coin_bias_from_signal(0.1, -1.0)
 
 
 class TestConfigValidation:
