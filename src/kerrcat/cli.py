@@ -287,8 +287,6 @@ def sweep_cmd(config_path, axis, values, out_path, fmt, seed, shots, engine) -> 
     """Sweep one parameter and write a plot-ready table (CSV or JSON)."""
     base = _scenario(config_path, seed=seed, shots=shots, engine=engine)
     parsed_values = [float(v) for v in values.split(",") if v.strip()]
-    if not parsed_values:
-        raise click.UsageError("sweep needs at least one value")
     # Rate axes are quoted in Hz at the CLI, like the INI [loss] keys.
     scale = TWO_PI if axis in _HZ_KEYS else 1.0
     rows = run_sweep(axis, [scale * v for v in parsed_values], base)

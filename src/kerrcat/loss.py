@@ -113,7 +113,8 @@ def thermal_occupation(omega_m: float, temp: float) -> float:
     ``temp = 0`` returns exactly 0, and so does a temperature so low that
     ``k*T`` underflows or ``exp(hbar*omega/(k*T))`` exceeds the float range
     (there the occupation is below the smallest normal float). Monotone
-    increasing in ``temp``.
+    increasing in ``temp``. Raises ``ValueError`` where the occupation
+    exceeds the float range.
     """
     if omega_m <= 0.0:
         raise ValueError("omega_m must be strictly positive")
@@ -123,9 +124,14 @@ def thermal_occupation(omega_m: float, temp: float) -> float:
     if thermal_energy == 0.0:
         return 0.0
     try:
-        return 1.0 / math.expm1(hbar * omega_m / thermal_energy)
+        occupation = 1.0 / math.expm1(hbar * omega_m / thermal_energy)
     except OverflowError:
         return 0.0
+    except ZeroDivisionError:
+        occupation = math.inf
+    if not math.isfinite(occupation):
+        raise ValueError(f"thermal occupation at temp = {temp!r} K exceeds the float range")
+    return occupation
 
 
 @dataclass(frozen=True)
@@ -179,8 +185,8 @@ class LossParams:
             lambda_kerr=self.lambda_kerr,
             temp=self.temp,
         )
-        if self.omega_m <= 0.0:
-            raise ValueError("omega_m must be strictly positive")
+        # Rejects a non-positive omega_m, a negative temp and an occupation beyond the float range.
+        object.__setattr__(self, "n_bar", thermal_occupation(self.omega_m, self.temp))
         if self.lambda_kerr <= 0.0:
             raise ValueError("lambda_kerr must be strictly positive")
         nu, t_swap, big_gamma, xi = swap_parameters(self.kappa, self.gamma, self.g)
@@ -191,7 +197,6 @@ class LossParams:
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "tau_kerr", tau)
         object.__setattr__(self, "eta", math.exp(-self.kappa * tau / 2.0))
-        object.__setattr__(self, "n_bar", thermal_occupation(self.omega_m, self.temp))
 
 
 def reference_loss_params() -> LossParams:
@@ -372,30 +377,28 @@ def no_emission_diagonal(theta: float, lp: LossParams, N: int) -> np.ndarray:
 
 def single_emission_state(
     t_emit: float,
-    theta_total: float,
     alpha0: complex,
     lp: LossParams,
     N: int | None = None,
 ) -> tuple[FockVector, float]:
-    """State after one photon emission at ``t_emit`` during a Kerr stage.
+    """State after one photon emission at ``t_emit`` during a quarter-period Kerr stage.
 
     Evolves ``|alpha0>`` with the no-emission propagator up to ``t_emit``,
     applies the lowering operator (the emission), then continues the
-    no-emission evolution until the stage (total angle ``theta_total``,
-    duration ``theta_total/lambda_kerr``) is complete. Returns the normalized
+    no-emission evolution until the stage (total angle ``pi/2``, duration
+    ``lp.tau_kerr``) is complete. Returns the normalized
     state and its squared pre-normalization norm, which is the trajectory
     weight density in ``t_emit`` (up to the constant emission-rate factor
     ``kappa``).
     """
     if N is None:
         N = default_truncation(alpha0)
-    t_total = theta_total / lp.lambda_kerr
-    if not 0.0 <= t_emit <= t_total:
+    if not 0.0 <= t_emit <= lp.tau_kerr:
         raise ValueError("t_emit must lie within the stage duration")
     theta = lp.lambda_kerr * t_emit
     psi = no_emission_diagonal(theta, lp, N) * coherent_state(alpha0, N).amplitudes
     psi = np.append(np.sqrt(np.arange(1.0, N)) * psi[1:], 0.0)
-    psi = FockVector(no_emission_diagonal(theta_total - theta, lp, N) * psi)
+    psi = FockVector(no_emission_diagonal(math.pi / 2.0 - theta, lp, N) * psi)
     weight = psi.norm**2
     if weight <= 0.0:
         raise ValueError("emission from this state has zero probability (vacuum input)")
@@ -415,7 +418,7 @@ def lossy_stages(
     if t_emit is None:
         psi = w * coherent_state(alpha0, N).amplitudes
     else:
-        psi = single_emission_state(t_emit, math.pi / 2.0, alpha0, lp, N)[0].amplitudes
+        psi = single_emission_state(t_emit, alpha0, lp, N)[0].amplitudes
     return lp.xi ** np.arange(N) * psi, w
 
 

@@ -84,9 +84,6 @@ _HERMITE_TOL = 1e-12
 #: highest, evaluating the series costs about as much as the engine on every shot.
 _MIN_FIT_DEGREE = 8
 _MAX_FIT_DEGREE = 64
-#: A fit evaluates the engine at no more than ``2 * _MAX_FIT_DEGREE + 1`` points,
-#: a 32nd of this many shots; smaller chunks run the engine on every shot.
-_MIN_FIT_SHOTS = 32 * (2 * _MAX_FIT_DEGREE + 1)
 #: A fit is accepted when it meets the engine this closely where it was not fitted.
 _FIT_TOL = 1e-14
 #: Shots whose outcome uniform lies this close to the fitted ``p1`` are decided by the engine.
@@ -331,16 +328,14 @@ def _lobatto(n: int) -> np.ndarray:
 
 
 def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
-    """Chebyshev series of degree ``n`` through ``values`` at ``_lobatto(n)`` (a DCT-I).
+    """Chebyshev series of degree ``n`` through ``values`` at ``_lobatto(n)``.
 
-    ``jk`` is reduced mod ``2n`` before the cosine, so no argument exceeds ``2 pi``.
+    This is a DCT-I, taken as the real FFT of the values' even extension.
     """
     n = values.size - 1
-    k = np.arange(n + 1)
-    ends = np.ones(n + 1)
-    ends[[0, -1]] = 0.5
-    cosines = np.cos(np.pi * (np.outer(k, k) % (2 * n)) / n)
-    return ends * (cosines @ (ends * values)) * (2.0 / n)
+    coeffs = np.fft.rfft(np.concatenate((values, values[-2:0:-1]))).real / n
+    coeffs[[0, -1]] /= 2.0
+    return coeffs
 
 
 def _chebyshev_fit(p1_at, degree: int) -> np.ndarray | None:
@@ -378,7 +373,7 @@ def _chunk_p1(kicks: np.ndarray, u_out: np.ndarray, config: ExperimentConfig) ->
     degree = _MIN_FIT_DEGREE
     while degree < (hi - lo) * _p1_bandwidth(config) / 2.0:
         degree *= 2
-    if kicks.size < _MIN_FIT_SHOTS or not hi > lo or degree > _MAX_FIT_DEGREE:
+    if not hi > lo or degree > _MAX_FIT_DEGREE:
         return outcome_probability(kicks, config)
 
     def p1_at(deltas):
@@ -449,9 +444,9 @@ def run_experiment(config: ExperimentConfig) -> SignalEstimate:
     shot count. A Philox stream yields the same uniforms whether drawn at
     once or in chunks, so chunking moves no uniform.
 
-    A chunk of distinct kicks of at least ``_MIN_FIT_SHOTS`` shots does not
-    evaluate the engine per shot. It fits a Chebyshev series to ``p1`` over
-    the chunk's kick range, starting at the degree that the range times
+    A chunk of distinct kicks, whatever its length, does not evaluate the
+    engine per shot. It fits a Chebyshev series to ``p1`` over the chunk's
+    kick range, starting at the degree that the range times
     :func:`_p1_bandwidth` asks for, through at most
     ``2 * _MAX_FIT_DEGREE + 1`` engine values, and accepts it only where it
     meets the engine to ``_FIT_TOL = 1e-14`` at points it was not fitted on
@@ -460,10 +455,11 @@ def run_experiment(config: ExperimentConfig) -> SignalEstimate:
     shot whose uniform lies within ``_TIE_BAND = 1e-12`` of the fitted
     ``p1`` is decided by the engine itself, and every other shot lies 100
     check tolerances away from its fitted ``p1``, so it gets the outcome
-    ``u < p1`` of the engine. A chunk that no fit meets, and a shorter
-    chunk, evaluate the engine at every kick. The engine's own value for
-    one kick can differ by up to one ulp with the length of the batch it is
-    evaluated in; outside the band that cannot move an outcome either.
+    ``u < p1`` of the engine. A chunk with a single distinct kick, one
+    whose range asks for a degree above ``_MAX_FIT_DEGREE``, and one that
+    no fit meets evaluate the engine at every kick. The engine's own value
+    for one kick can differ by up to one ulp with the length of the batch
+    it is evaluated in; outside the band that cannot move an outcome either.
 
     Each shot draws and evaluates only what its outcome depends on. With a
     zero-variance kick (the ideal model) every shot shares one kick, so

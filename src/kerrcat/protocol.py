@@ -229,14 +229,16 @@ def mean_X_linearized(alpha: float, delta: float) -> float:
 def shot_errors(pf: PhysicalForce, alpha: float) -> tuple[float, float]:
     """Single-shot fractional errors ``(eps_classical, eps_quantum)``.
 
-    ``eps_classical = sqrt(hbar*m*omega/2)/(F*dt)`` compares the vacuum
+    ``eps_classical = sqrt(hbar*m*omega/2)/|F*dt|`` compares the vacuum
     quadrature width to the classical displacement; the superposition
-    protocol improves it to ``eps_quantum = eps_classical/(2*alpha)``.
+    protocol improves it to ``eps_quantum = eps_classical/(2*|alpha|)``.
     """
     if pf.F == 0.0:
         raise ValueError("shot errors are undefined for zero force")
+    if alpha == 0.0 or not math.isfinite(alpha):
+        raise ValueError(f"shot errors need a finite non-zero alpha, got {alpha!r}")
     eps_c = math.sqrt(hbar * pf.mass * pf.omega_m / 2.0) / abs(pf.F * pf.dt)
-    return eps_c, eps_c / (2.0 * alpha)
+    return eps_c, eps_c / (2.0 * abs(alpha))
 
 
 def branch_phase_shift(alpha0: complex, delta: float) -> float:

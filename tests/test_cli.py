@@ -505,6 +505,13 @@ class TestCommands:
             counts.append(re.search(r"m_counts\s*=\s*(\d+)", result.output).group(1))
         assert counts[0] == counts[1]
 
+    def test_temperature_beyond_the_float_range_of_the_occupation_exits_two(self, tmp_path):
+        path = tmp_path / "hot.ini"
+        path.write_text(LOSSY_SCENARIO.replace("temp = 0.0", "temp = 1e306"))
+        result = self.runner.invoke(main, ["shots", "--config", str(path), "--shots", "500"])
+        assert result.exit_code == 2, result.output
+        assert "thermal occupation" in result.output
+
     def test_offset_without_kerr_stage_survival_exits_two(self, tmp_path):
         # lambda_kerr = 50 Hz at kappa = 100 kHz makes eta underflow to 0, so the offset is undefined.
         path = tmp_path / "slow_kerr.ini"

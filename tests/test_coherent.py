@@ -141,13 +141,18 @@ class TestLargeKicks:
 
 class TestColdImport:
     def test_import_loads_neither_scipy_constants_nor_integrate(self):
+        # The fit of a chunk's p1 uses numpy.fft, which import kerrcat loads anyway. (A whole
+        # thermal run still loads scipy.fft, through the scipy.integrate of the kick statistics.)
         code = (
-            "import sys, kerrcat, kerrcat.cli; "
-            "print(sorted(m for m in ('scipy.constants', 'scipy.integrate') if m in sys.modules))"
+            "import sys, numpy as np, kerrcat, kerrcat.cli; "
+            "print(sorted(m for m in ('scipy.constants', 'scipy.integrate') if m in sys.modules)); "
+            "config = kerrcat.ExperimentConfig(kerrcat.ProtocolParams(alpha0=1.5), kerrcat.reference_loss_params()); "
+            "kerrcat.montecarlo._chunk_p1(np.linspace(-0.02, 0.02, 100), np.full(100, 2.0), config); "
+            "print(sorted(m for m in ('scipy.fft', 'scipy.integrate') if m in sys.modules))"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(kerrcat.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-        assert out.stdout.strip() == "[]"
+        assert out.stdout.split() == ["[]", "[]"]
 
     def test_constants_equal_scipy_exactly(self):
         import scipy.constants

@@ -172,6 +172,14 @@ class TestThermalOccupation:
         omega, temp = TWO_PI * 10e6, 7e-7
         assert thermal_occupation(omega, temp) == 1.0 / math.expm1(hbar * omega / (k_boltzmann * temp)) > 0.0
 
+    def test_occupation_beyond_the_float_range_is_rejected(self):
+        # 1/expm1(hbar*omega/(k*T)) overflows at 1e306 K, and hbar*omega underflows to 0 at omega = 5e-324.
+        for omega, temp in ((TWO_PI * 10e6, 1e306), (5e-324, 1.0)):
+            with pytest.raises(ValueError, match="float range"):
+                thermal_occupation(omega, temp)
+        with pytest.raises(ValueError, match="float range"):
+            reference_params(temp=1e306)
+
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
             thermal_occupation(0.0, 1.0)
@@ -377,7 +385,7 @@ class TestSingleEmissionState:
     def test_lossless_emission_at_start_is_kerr_evolution(self):
         lp = no_loss_params()
         alpha0 = 1.5
-        state, weight = single_emission_state(0.0, math.pi / 2.0, alpha0, lp, 38)
+        state, weight = single_emission_state(0.0, alpha0, lp, 38)
         N = state.dim
         target = kerr_unitary(math.pi / 2.0, N) @ coherent_state(alpha0, N)
         assert fidelity(state, target) > 1.0 - 1e-12
@@ -386,11 +394,11 @@ class TestSingleEmissionState:
     def test_rejects_bad_times_and_vacuum(self):
         lp = reference_params()
         with pytest.raises(ValueError):
-            single_emission_state(-1e-9, math.pi / 2.0, 1.5, lp, 24)
+            single_emission_state(-1e-9, 1.5, lp, 24)
         with pytest.raises(ValueError):
-            single_emission_state(lp.tau_kerr * 1.01, math.pi / 2.0, 1.5, lp, 24)
+            single_emission_state(lp.tau_kerr * 1.01, 1.5, lp, 24)
         with pytest.raises(ValueError):
-            single_emission_state(0.0, math.pi / 2.0, 0.0, lp, 24)
+            single_emission_state(0.0, 0.0, lp, 24)
 
     def test_trajectory_completeness(self):
         # No-emission probability plus the integrated single-emission weight
@@ -402,7 +410,7 @@ class TestSingleEmissionState:
         w = no_emission_diagonal(math.pi / 2.0, lp, N)
         p0 = FockVector(w * coherent_state(alpha, N).amplitudes).norm ** 2
         times = np.linspace(0.0, lp.tau_kerr, 81)
-        weights = [single_emission_state(t, math.pi / 2.0, alpha, lp, N)[1] for t in times]
+        weights = [single_emission_state(t, alpha, lp, N)[1] for t in times]
         p1 = lp.kappa * float(np.trapezoid(weights, times))
         total = p0 + p1
         assert total < 1.0 + 1e-12
@@ -474,7 +482,7 @@ class TestTrajectoryPeaks:
         mean_acc = 0.0
         weight_acc = 0.0
         for t in times:
-            _, weight = single_emission_state(float(t), math.pi / 2.0, alpha, lp)
+            _, weight = single_emission_state(float(t), alpha, lp)
             psi = run_lossy_trajectory(alpha, 0.0, lp, t_emit=float(t))
             dist = quadrature_distribution(psi)
             if total is None:

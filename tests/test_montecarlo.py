@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval
 from scipy.special import roots_hermite
 
 from _support import params_for, reference_params
@@ -332,13 +333,18 @@ class TestEngineCalls:
         assert sizes == [1]
 
     def test_thermal_kicks_evaluate_every_chunk(self, monkeypatch):
-        # A full chunk evaluates its fit's nodes, each batch with the chunk's two
-        # extreme kicks; the 5-shot tail evaluates every kick.
+        # Every chunk, the 5-shot tail too, evaluates its fit's nodes, each batch
+        # with the chunk's two extreme kicks.
         sizes = self._spy(monkeypatch)
         chunk = montecarlo._CHUNK_SHOTS
         run_experiment(lossy_config(loss=reference_params(temp=0.05), shots=2 * chunk + 5, seed=3))
         nodes = 2 * montecarlo._MIN_FIT_DEGREE + 1
-        assert sizes == [nodes + 2, nodes + 2, 5]
+        assert sizes == [nodes + 2, nodes + 2, nodes + 2]
+
+    def test_short_brute_force_run_evaluates_only_the_fit_nodes(self, monkeypatch):
+        sizes = self._spy(monkeypatch)
+        run_experiment(lossy_config(loss=reference_params(temp=0.05), shots=1000, seed=3, engine="brute-force"))
+        assert sizes == [2 * montecarlo._MIN_FIT_DEGREE + 1 + 2]
 
 
 def _engine_counts(config: ExperimentConfig) -> int:
@@ -363,7 +369,7 @@ class TestChunkFit:
     @pytest.mark.parametrize("temp", [0.0, 0.05, 1.0, 30.0, 300.0])
     @pytest.mark.parametrize("alpha0", [0.5, 1.5, 2.5, 4.0, 1.0 + 1.0j])
     def test_counts_equal_the_engine_at_every_kick(self, monkeypatch, alpha0, temp, apply_offset):
-        # Three fitted (or, when hot, direct) chunks and a 7-shot direct tail.
+        # Three chunks and a 7-shot tail, each fitted (or, when hot, direct).
         monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 2**13)
         for seed in (1, 2):
             config = lossy_config(
@@ -387,6 +393,31 @@ class TestChunkFit:
             engine="brute-force",
         )
         assert run_experiment(config).m_counts == _engine_counts(config)
+
+    @pytest.mark.parametrize("engine", ["analytic", "brute-force"])
+    @pytest.mark.parametrize("temp", [0.05, 30.0])
+    @pytest.mark.parametrize("shots", [2, 5, 1000, 4127])
+    @pytest.mark.parametrize("alpha0", [1.5, 1.0 + 1.0j])
+    def test_short_run_counts_equal_the_engine_at_every_kick(self, alpha0, shots, temp, engine):
+        for seed in (1, 2):
+            config = lossy_config(
+                protocol=ProtocolParams(alpha0=alpha0, apply_offset=True),
+                loss=reference_params(temp=temp),
+                shots=shots,
+                seed=seed,
+                engine=engine,
+            )
+            assert run_experiment(config).m_counts == _engine_counts(config)
+
+    @pytest.mark.parametrize("temp", [0.05, 300.0])
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_series_passes_through_its_values(self, n, temp):
+        # p1 over 8 kick stds; measured at most 5.0e-16.
+        config = lossy_config(loss=reference_params(temp=temp))
+        nodes = montecarlo._lobatto(n)
+        values = outcome_probability(4.0 * montecarlo._kick_stats(config).std * nodes, config)
+        coeffs = montecarlo._chebyshev_coefficients(values)
+        assert np.max(np.abs(chebval(nodes, coeffs) - values)) <= 1e-15
 
     @pytest.mark.filterwarnings("ignore:emission probability exceeds")
     @pytest.mark.parametrize("temp", [0.05, 0.1, 1.0, 30.0, 100.0])

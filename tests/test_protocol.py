@@ -213,6 +213,18 @@ class TestShotErrors:
         with pytest.raises(ValueError):
             shot_errors(pf, alpha=2.0)
 
+    @pytest.mark.parametrize("alpha", [0.0, math.inf, math.nan])
+    def test_alpha_without_a_finite_gain_rejected(self, alpha):
+        pf = PhysicalForce(F=2e-18, dt=1e-6, mass=1e-12, omega_m=1e7)
+        with pytest.raises(ValueError, match="alpha"):
+            shot_errors(pf, alpha=alpha)
+
+    def test_errors_are_magnitudes(self):
+        pf = PhysicalForce(F=-2e-18, dt=1e-6, mass=1e-12, omega_m=1e7)
+        eps_c, eps_q = shot_errors(pf, alpha=-2.0)
+        assert (eps_c, eps_q) == shot_errors(pf, alpha=2.0)
+        assert eps_q > 0.0
+
 
 class TestRunIdeal:
     @pytest.mark.parametrize("alpha0", [0.8, 1.5 + 0.3j, 2.0])
