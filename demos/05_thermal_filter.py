@@ -32,8 +32,8 @@ g = TWO_PI * 500e3
 filter_lp = LossParams(kappa=0.0, gamma=0.0, g=g, omega_m=20.0 * g, lambda_kerr=TWO_PI * 7e6)
 periods = filter_lp.omega_m * filter_lp.T_swap / TWO_PI
 f0 = 1000.0
-resonant = momentum_kick_stats(lambda t: f0 * math.cos(filter_lp.omega_m * t), filter_lp)
-constant = momentum_kick_stats(lambda t: f0, filter_lp)
+resonant = momentum_kick_stats(ForceSpec(shape="resonant-cosine", amplitude=f0), filter_lp)
+constant = momentum_kick_stats(ForceSpec(shape="constant", amplitude=f0), filter_lp)
 print(f"transfer window spans {periods:.1f} mechanical periods")
 print(f"resonant drive:  mean kick = {resonant.mean:+.6e}")
 print(f"constant drive:  mean kick = {constant.mean:+.6e}")
@@ -55,8 +55,8 @@ print("Kick noise grows with 2*n_bar + 1")
 print("=" * 72)
 lp_cold = reference_loss_params()
 lp_warm = dataclasses.replace(lp_cold, temp=0.0242)
-cold = momentum_kick_stats(lambda t: 0.0, lp_cold)
-warm = momentum_kick_stats(lambda t: 0.0, lp_warm)
+cold = momentum_kick_stats(None, lp_cold)
+warm = momentum_kick_stats(None, lp_warm)
 ratio = warm.variance / cold.variance
 print(f"vacuum kick noise:            std = {cold.std:.3e}")
 print(f"thermal kick noise (~24 mK):  std = {warm.std:.3e}")
@@ -74,7 +74,7 @@ base = ExperimentConfig(
 )
 drive = ForceSpec(shape="resonant-cosine", amplitude=0.05 * lp_cold.nu)
 driven = dataclasses.replace(base, force_spec=drive)
-kick = momentum_kick_stats(drive.as_function(lp_cold.omega_m), lp_cold)
+kick = momentum_kick_stats(drive, lp_cold)
 est_plain = run_experiment(base)
 est_driven = run_experiment(driven)
 print(f"filtered kick from the drive: mean = {kick.mean:.5f}, std = {kick.std:.1e}")

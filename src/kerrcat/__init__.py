@@ -7,8 +7,9 @@ The package is organized in six layers:
 - :mod:`kerrcat.protocol` — the ideal (lossless) measurement pipeline and its
   closed-form expectations, offset linearization, and coin-estimation signal.
 - :mod:`kerrcat.loss` — the lossy/thermal model: swap-transfer parameters,
-  momentum-kick statistics, two-mode loss channel, no-emission propagators,
-  emission trajectories, and closed-form lossy signals.
+  force waveforms and momentum-kick statistics, two-mode loss channel,
+  no-emission propagators, emission trajectories, and closed-form lossy
+  signals.
 - :mod:`kerrcat.montecarlo` — shot-level simulation: thermal kick sampling,
   outcome probabilities (analytic or brute-force engines), experiments,
   and parameter sweeps.

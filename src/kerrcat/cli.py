@@ -33,6 +33,7 @@ import numpy as np
 
 from kerrcat.constants import hbar, k_boltzmann
 from kerrcat.loss import (
+    ForceSpec,
     LossParams,
     OverdampedTransferError,
     emission_probability,
@@ -42,7 +43,6 @@ from kerrcat.loss import (
 from kerrcat.montecarlo import (
     SWEEP_AXES,
     ExperimentConfig,
-    ForceSpec,
     sweep as run_sweep,
 )
 from kerrcat.protocol import ProtocolParams

@@ -7,9 +7,10 @@ circuit, kicked by the force, and swapped back. The model has three layers:
   the swap duration ``T_swap = pi/nu``, the amplitude decay ``xi = exp(-Gamma*T_swap)``
   with ``Gamma = (kappa+gamma)/4``, and the per-Kerr-stage amplitude survival
   ``eta = exp(-kappa*tau_kerr/2)`` with ``tau_kerr = pi/(2*lambda_kerr)``.
-* **Momentum-kick statistics** — the force and the thermal bath enter as a
-  Gaussian kick ``delta_prime`` whose mean is a filtered integral of the force
-  over one swap and whose variance is proportional to ``2*n_bar + 1``.
+* **Momentum-kick statistics** — the force (a ``ForceSpec`` waveform) and the
+  thermal bath enter as a Gaussian kick ``delta_prime`` whose mean is the
+  force filtered over one swap and whose variance is proportional to
+  ``2*n_bar + 1``; both integrals are taken in closed form.
 * **Quantum trajectories** — no-emission evolution uses the contraction
   ``W(theta) = kerr_unitary(theta) * exp(-kappa*t*n/2)``; detecting no photon
   in the transfer line is the single-mode contraction ``xi^n`` followed by the
@@ -33,9 +34,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
+from scipy.special import spherical_jn
 
 from kerrcat._coherent import kicked_mean_x, lossy_pipeline
 from kerrcat.constants import hbar, k_boltzmann
@@ -54,6 +55,7 @@ from kerrcat.fock import (
 __all__ = [
     "LossParams",
     "KickStats",
+    "ForceSpec",
     "OverdampedTransferError",
     "reference_loss_params",
     "swap_parameters",
@@ -238,42 +240,91 @@ class KickStats:
         return math.sqrt(self.variance)
 
 
-def _quad_strict(integrand: Callable[[float], float], a: float, b: float, limit: int) -> float:
-    """Adaptive quadrature, with at most ``limit`` subintervals, that raises instead of silently degrading.
+_FORCE_SHAPES = ("resonant-cosine", "constant", "custom-samples")
 
-    With ``full_output`` ``quad`` returns its failure message instead of
-    warning it. Turning the warning into an error would need a
-    ``catch_warnings`` block, and leaving one resets the warning registry, so
-    every warning already shown once would be shown again. ``quad`` is
-    imported here, so ``import kerrcat`` does not load ``scipy.integrate``.
+
+@dataclass(frozen=True)
+class ForceSpec:
+    """Parametric force waveform driving the momentum kick.
+
+    Shapes: ``resonant-cosine`` is ``amplitude*cos(omega_m*t + phase)``;
+    ``constant`` is ``amplitude``; ``custom-samples`` linearly interpolates
+    the given ``(time, value)`` pairs scaled by ``amplitude``, and holds the
+    first and last value before the first and after the last sample time.
+    Only ``resonant-cosine`` takes a non-zero ``phase``. Amplitudes are in the
+    scaled-force convention (``sqrt(2)*F/sqrt(hbar*omega*m)``, units of 1/s)
+    that the kick integral expects.
     """
-    from scipy.integrate import quad
 
-    value, _, _, *message = quad(integrand, a, b, full_output=1, limit=limit, epsabs=1e-14, epsrel=1e-11)
-    if message:
-        raise RuntimeError(f"kick quadrature did not converge: {message[0]}")
-    return value
+    shape: str
+    amplitude: float
+    phase: float = 0.0
+    samples: tuple[tuple[float, float], ...] | None = None
+
+    def __post_init__(self) -> None:
+        require_finite("ForceSpec", amplitude=self.amplitude, phase=self.phase)
+        if self.shape not in _FORCE_SHAPES:
+            raise ValueError(f"unknown force shape {self.shape!r}; expected one of {_FORCE_SHAPES}")
+        if self.phase != 0.0 and self.shape != "resonant-cosine":
+            raise ValueError(f"a phase is only meaningful for resonant-cosine, not {self.shape!r}")
+        if self.shape == "custom-samples":
+            if not self.samples:
+                raise ValueError("custom-samples force requires a non-empty samples table")
+            table = tuple((float(t), float(f)) for t, f in self.samples)
+            for t, f in table:
+                require_finite("ForceSpec.samples", time=t, value=f)
+            times = [t for t, _ in table]
+            if any(b <= a for a, b in zip(times, times[1:])):
+                raise ValueError("sample times must be strictly increasing")
+            object.__setattr__(self, "samples", table)
+        elif self.samples is not None:
+            raise ValueError(f"samples are only meaningful for custom-samples, not {self.shape!r}")
 
 
-def momentum_kick_stats(force_fn: Callable[[float], float], lp: LossParams) -> KickStats:
+def _kick_mean(force: ForceSpec, lp: LossParams) -> float:
+    """``Re INT_0^{T_swap} sin(nu*s) * exp(i*omega*s) * f(s) ds`` in closed form.
+
+    With ``sin(nu s) cos(omega s) = [sin((nu+omega) s) + sin((nu-omega) s)]/2``
+    the resonant cosine is four terms ``INT_0^T sin(p s + c) ds
+    = T j0(pT/2) sin(pT/2 + c)``. Any other shape is a piecewise-linear
+    table (``constant`` is the one-sample table ``((0, 1),)``): a segment of
+    midpoint ``m``, half-length ``h`` and end values ``f0``, ``f1`` adds
+    ``h[(f0+f1) sin(km) j0(kh) + (f1-f0) cos(km) j1(kh)]`` for each ``k``.
+    ``j0`` and ``j1`` are spherical Bessel functions, so no term needs a
+    ``k = 0`` branch.
+    """
+    nu, omega, t_swap = lp.nu, lp.omega_m, lp.T_swap
+    if force.shape == "resonant-cosine":
+        half = 0.5 * t_swap * np.array([nu + 2.0 * omega, nu, nu, nu - 2.0 * omega])
+        phase = force.phase * np.array([1.0, -1.0, 1.0, -1.0])
+        return 0.25 * force.amplitude * t_swap * float(np.sum(spherical_jn(0, half) * np.sin(half + phase)))
+    times, values = np.array(((0.0, 1.0),) if force.shape == "constant" else force.samples).T
+    breaks = np.concatenate(([0.0], times[(times > 0.0) & (times < t_swap)], [t_swap]))
+    f = np.interp(breaks, times, values)
+    mid, half = 0.5 * (breaks[1:] + breaks[:-1]), 0.5 * (breaks[1:] - breaks[:-1])
+    k = np.array([[nu + omega], [nu - omega]])
+    segments = half * (
+        (f[1:] + f[:-1]) * np.sin(k * mid) * spherical_jn(0, k * half)
+        + (f[1:] - f[:-1]) * np.cos(k * mid) * spherical_jn(1, k * half)
+    )
+    return 0.5 * force.amplitude * float(np.sum(segments))
+
+
+def momentum_kick_stats(force: ForceSpec | None, lp: LossParams) -> KickStats:
     """Mean and variance of the dimensionless kick gathered during one swap.
 
     The force enters through the swap filter:
     ``mean = Re INT_0^{T_swap} sin(nu*s) * exp(i*omega*s) * f(s) ds``,
-    where ``f`` is the scaled force ``sqrt(2)*F(t)/sqrt(hbar*omega*m)``.
-    The bath enters as white noise with correlation strength ``2*n_bar + 1``
-    (the ``+1`` is the vacuum port, present even at zero temperature):
+    where ``f`` is the scaled force ``sqrt(2)*F(t)/sqrt(hbar*omega*m)`` of
+    ``force`` (``None`` is no force, mean 0). The bath enters as white noise
+    with correlation strength ``2*n_bar + 1`` (the ``+1`` is the vacuum port,
+    present even at zero temperature):
     ``variance = (2*n_bar + 1) * INT_0^{T_swap} sin^2(nu*s) * cos^2(omega*s) ds``.
 
-    The variance filter is a sum of cosines, integrated in closed form. The
-    mean integral is evaluated by adaptive quadrature, with a subdivision
-    limit that grows with the mechanical half-periods in the swap; a
-    convergence failure raises ``RuntimeError``.
+    Both integrals are taken in closed form, the mean for each force shape
+    (see :func:`_kick_mean`) and the variance filter as a sum of cosines.
     """
     nu, omega, t_swap = lp.nu, lp.omega_m, lp.T_swap
-
-    def mean_integrand(s: float) -> float:
-        return (math.sin(nu * s) * complex(force_fn(s)) * complex(math.cos(omega * s), math.sin(omega * s))).real
 
     def cosine_integral(k: float) -> float:
         # INT_0^{T_swap} cos(2 k s) ds
@@ -287,8 +338,7 @@ def momentum_kick_stats(force_fn: Callable[[float], float], lp: LossParams) -> K
         - 0.5 * cosine_integral(omega + nu)
         - 0.5 * cosine_integral(omega - nu)
     )
-    limit = max(800, math.ceil(4.0 * omega * t_swap / math.pi))
-    mean = _quad_strict(mean_integrand, 0.0, t_swap, limit)
+    mean = 0.0 if force is None else _kick_mean(force, lp)
     variance = (2.0 * lp.n_bar + 1.0) * var_filter
     return KickStats(mean=mean, variance=variance)
 

@@ -1,10 +1,11 @@
 """Shot-level simulation of the force measurement as a biased-coin experiment.
 
 Each shot samples a momentum kick (deterministic force part plus Gaussian
-thermal/vacuum noise), decides whether a photon emission scrambled the shot
-(in which case the outcome is a fair coin), and otherwise flips a coin with
-the no-emission probability ``p1 = Prob(X > 0)``. Counts aggregate into a
-``SignalEstimate`` with ``S = m/M - 1/2`` and ``sigma_S = 1/sqrt(4M)``.
+thermal/vacuum noise, from :func:`kerrcat.loss.momentum_kick_stats`), decides
+whether a photon emission scrambled the shot (in which case the outcome is a
+fair coin), and otherwise flips a coin with the no-emission probability
+``p1 = Prob(X > 0)``. Counts aggregate into a ``SignalEstimate`` with
+``S = m/M - 1/2`` and ``sigma_S = 1/sqrt(4M)``.
 
 Randomness is counter-based and order-independent: three independent
 Philox streams keyed ``(seed, purpose)`` drive kicks, emission decisions,
@@ -44,6 +45,7 @@ from scipy.special import ndtri, roots_hermite
 from kerrcat._coherent import ideal_pipeline, kicked_prob_x_positive, lossy_pipeline
 from kerrcat.fock import apply_kicks, kicked_truncation, prob_positive_columns, require_finite
 from kerrcat.loss import (
+    ForceSpec,
     KickStats,
     LossParams,
     emission_probability,
@@ -54,7 +56,6 @@ from kerrcat.loss import (
 from kerrcat.protocol import ProtocolParams, SignalEstimate, ideal_stages, offset_delta
 
 __all__ = [
-    "ForceSpec",
     "ExperimentConfig",
     "SweepRow",
     "sample_kick",
@@ -92,52 +93,6 @@ _TIE_BAND = 1e-12
 #: Largest single-mode dimension the brute-force engine accepts.
 MAX_BRUTE_FORCE_DIM = 160
 
-_FORCE_SHAPES = ("resonant-cosine", "constant", "custom-samples")
-
-
-@dataclass(frozen=True)
-class ForceSpec:
-    """Parametric force waveform driving the momentum kick.
-
-    Shapes: ``resonant-cosine`` is ``amplitude*cos(omega_m*t + phase)``;
-    ``constant`` is ``amplitude``; ``custom-samples`` linearly interpolates
-    the given ``(time, value)`` pairs scaled by ``amplitude``. Amplitudes are
-    in the scaled-force convention (``sqrt(2)*F/sqrt(hbar*omega*m)``, units
-    of 1/s) that the kick integral expects.
-    """
-
-    shape: str
-    amplitude: float
-    phase: float = 0.0
-    samples: tuple[tuple[float, float], ...] | None = None
-
-    def __post_init__(self) -> None:
-        require_finite("ForceSpec", amplitude=self.amplitude, phase=self.phase)
-        if self.shape not in _FORCE_SHAPES:
-            raise ValueError(f"unknown force shape {self.shape!r}; expected one of {_FORCE_SHAPES}")
-        if self.shape == "custom-samples":
-            if not self.samples:
-                raise ValueError("custom-samples force requires a non-empty samples table")
-            table = tuple((float(t), float(f)) for t, f in self.samples)
-            for t, f in table:
-                require_finite("ForceSpec.samples", time=t, value=f)
-            times = [t for t, _ in table]
-            if any(b <= a for a, b in zip(times, times[1:])):
-                raise ValueError("sample times must be strictly increasing")
-            object.__setattr__(self, "samples", table)
-        elif self.samples is not None:
-            raise ValueError(f"samples are only meaningful for custom-samples, not {self.shape!r}")
-
-    def as_function(self, omega_m: float):
-        """Scaled-force waveform ``f(t)`` for a given mechanical frequency."""
-        if self.shape == "resonant-cosine":
-            return lambda t: self.amplitude * math.cos(omega_m * t + self.phase)
-        if self.shape == "constant":
-            return lambda t: self.amplitude
-        times = np.array([t for t, _ in self.samples])
-        values = np.array([f for _, f in self.samples])
-        return lambda t: self.amplitude * float(np.interp(t, times, values))
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -145,8 +100,9 @@ class ExperimentConfig:
 
     ``loss=None`` selects the ideal pipeline (no transfer, no thermal noise);
     otherwise the lossy pipeline with emission dephasing runs. ``force_spec``
-    adds a deterministic force contribution to the kick mean and requires the
-    loss model (the kick filter is defined by the swap stage).
+    (a :class:`kerrcat.loss.ForceSpec`) adds a deterministic force
+    contribution to the kick mean and requires the loss model (the kick
+    filter is defined by the swap stage).
     """
 
     protocol: ProtocolParams
@@ -192,19 +148,15 @@ def _stream(seed: int, purpose: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[int(seed), int(purpose)]))
 
 
-def sample_kick(rng_stream: np.random.Generator, stats: KickStats, size: int | None = None):
-    """Gaussian kick draw(s) with the given mean and variance.
+def sample_kick(rng_stream: np.random.Generator, stats: KickStats, size: int) -> np.ndarray:
+    """``size`` Gaussian kick draws with the given mean and variance.
 
     Consumes exactly one uniform per draw and maps it through the inverse
     normal CDF, so draw sequences are reproducible and order-independent.
     Zero variance returns the mean exactly.
     """
-    u = rng_stream.random() if size is None else rng_stream.random(size)
-    if stats.variance == 0.0:
-        return stats.mean if size is None else np.full(size, stats.mean)
-    u = np.maximum(u, np.finfo(float).tiny)
-    draws = stats.mean + stats.std * ndtri(u)
-    return float(draws) if size is None else draws
+    u = np.maximum(rng_stream.random(size), np.finfo(float).tiny)
+    return stats.mean + stats.std * ndtri(u)
 
 
 def _total_kick(delta_prime, config: ExperimentConfig):
@@ -398,13 +350,7 @@ def _kick_stats(config: ExperimentConfig) -> KickStats:
     p = config.protocol
     if config.loss is None:
         return KickStats(mean=p.delta, variance=0.0)
-    lp = config.loss
-    if config.force_spec is not None:
-        force_fn = config.force_spec.as_function(lp.omega_m)
-    else:
-        def force_fn(t: float) -> float:
-            return 0.0
-    filtered = momentum_kick_stats(force_fn, lp)
+    filtered = momentum_kick_stats(config.force_spec, config.loss)
     return KickStats(mean=p.delta + filtered.mean, variance=filtered.variance)
 
 

@@ -167,7 +167,7 @@ def _lossy_rows(config: ExperimentConfig) -> list[CheckRow]:
             tolerance=1e-12,
         )
     )
-    variance = momentum_kick_stats(lambda s: 0.0, lp).variance
+    variance = momentum_kick_stats(None, lp).variance
     rows.append(
         CheckRow(
             name="kick_variance zero_force",

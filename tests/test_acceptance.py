@@ -28,6 +28,7 @@ from kerrcat.fock import (
     quadrature_distribution,
 )
 from kerrcat.loss import (
+    ForceSpec,
     LossParams,
     emission_probability,
     mean_X_lossy,
@@ -212,8 +213,6 @@ def test_criterion_11_swap_filter_rejects_constant_force():
     # exactly 10 periods fit in the transfer window.
     assert lp.omega_m * lp.T_swap / (2.0 * math.pi) == pytest.approx(10.0, rel=1e-12)
     f0 = 1000.0
-    mean_const = momentum_kick_stats(lambda t: f0, lp).mean
-    mean_resonant = momentum_kick_stats(
-        lambda t: f0 * math.cos(lp.omega_m * t), lp
-    ).mean
+    mean_const = momentum_kick_stats(ForceSpec(shape="constant", amplitude=f0), lp).mean
+    mean_resonant = momentum_kick_stats(ForceSpec(shape="resonant-cosine", amplitude=f0), lp).mean
     assert abs(mean_const) < 0.01 * abs(mean_resonant), (mean_const, mean_resonant)

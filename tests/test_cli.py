@@ -14,8 +14,8 @@ from click.testing import CliRunner
 from _support import TWO_PI
 from kerrcat.cli import ScenarioError, default_config, main, parse_scenario, serialize_scenario
 from kerrcat import cli, montecarlo
-from kerrcat.loss import LossParams, momentum_kick_stats, reference_loss_params
-from kerrcat.montecarlo import ExperimentConfig, ForceSpec
+from kerrcat.loss import ForceSpec, LossParams, momentum_kick_stats, reference_loss_params
+from kerrcat.montecarlo import ExperimentConfig
 from kerrcat.protocol import ProtocolParams
 from kerrcat.validation import validation_rows
 
@@ -232,8 +232,8 @@ class TestValidationRows:
         return next(row for row in rows if row.name.startswith("kick_variance"))
 
     def test_kick_variance_row_catches_a_relative_error_of_1e_9(self, monkeypatch):
-        def scaled(force_fn, lp):
-            stats = momentum_kick_stats(force_fn, lp)
+        def scaled(force, lp):
+            stats = momentum_kick_stats(force, lp)
             return dataclasses.replace(stats, variance=stats.variance * (1.0 + 1e-9))
 
         monkeypatch.setattr("kerrcat.validation.momentum_kick_stats", scaled)
@@ -311,6 +311,34 @@ class TestCommands:
         path.write_text(text.replace("temp = 0.0", "temp = 0.05") + force)
         result = self.runner.invoke(main, ["shots", "--config", str(path)])
         assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize(
+        "g, force",
+        [
+            (
+                "500e3",
+                "[force]\nshape = custom-samples\namplitude = 1e5\nsamples = "
+                + ",".join(f"{t!r}:{math.sin(3e7 * t)!r}" for t in (1.2e-6 * i / 39 for i in range(40)))
+                + "\n",
+            ),
+            ("27e3", "[force]\nshape = constant\namplitude = 8e4\n"),
+        ],
+        ids=["forty-sample-sine", "constant-at-27kHz"],
+    )
+    def test_shots_with_a_force_adaptive_quadrature_could_not_integrate(self, tmp_path, g, force):
+        # Both exited 1 while the kick mean was an adaptive quadrature that reported round-off.
+        path = tmp_path / "forced.ini"
+        path.write_text(LOSSY_SCENARIO.replace("g = 500e3", f"g = {g}").replace("temp = 0.0", "temp = 0.05") + force)
+        result = self.runner.invoke(main, ["shots", "--config", str(path)])
+        assert result.exit_code == 0, result.output
+        assert re.search(r"m_counts\s*=\s*\d+", result.output)
+
+    def test_shots_with_a_phase_on_a_constant_force_exits_two(self, tmp_path):
+        path = tmp_path / "phased.ini"
+        path.write_text(LOSSY_SCENARIO + "[force]\nshape = constant\namplitude = 8e4\nphase = 0.3\n")
+        result = self.runner.invoke(main, ["shots", "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "phase is only meaningful for resonant-cosine" in result.output
 
     @pytest.mark.parametrize("tolerance", ["inf", "nan", "-1"])
     def test_validate_bad_tolerance_exits_two(self, tolerance):
@@ -483,9 +511,9 @@ class TestCommands:
     def test_shots_lossy_runs_the_kick_quadrature_once(self, tmp_path, monkeypatch):
         calls = []
 
-        def spy(force_fn, lp):
+        def spy(force, lp):
             calls.append(lp.temp)
-            return momentum_kick_stats(force_fn, lp)
+            return momentum_kick_stats(force, lp)
 
         monkeypatch.setattr(montecarlo, "momentum_kick_stats", spy)
         path = tmp_path / "lossy.ini"

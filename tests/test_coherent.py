@@ -141,13 +141,17 @@ class TestLargeKicks:
 
 class TestColdImport:
     def test_import_loads_neither_scipy_constants_nor_integrate(self):
-        # The fit of a chunk's p1 uses numpy.fft, which import kerrcat loads anyway. (A whole
-        # thermal run still loads scipy.fft, through the scipy.integrate of the kick statistics.)
+        # The fit of a chunk's p1 uses numpy.fft, which import kerrcat loads anyway, and
+        # the kick statistics are closed forms, so a whole forced thermal run of each
+        # force shape loads neither scipy.fft nor scipy.integrate.
         code = (
-            "import sys, numpy as np, kerrcat, kerrcat.cli; "
+            "import dataclasses, sys, kerrcat, kerrcat.cli; "
             "print(sorted(m for m in ('scipy.constants', 'scipy.integrate') if m in sys.modules)); "
-            "config = kerrcat.ExperimentConfig(kerrcat.ProtocolParams(alpha0=1.5), kerrcat.reference_loss_params()); "
-            "kerrcat.montecarlo._chunk_p1(np.linspace(-0.02, 0.02, 100), np.full(100, 2.0), config); "
+            "lp = dataclasses.replace(kerrcat.reference_loss_params(), temp=0.05); "
+            "forces = [kerrcat.ForceSpec('resonant-cosine', 1e5, phase=0.3), kerrcat.ForceSpec('constant', 8e4), "
+            "kerrcat.ForceSpec('custom-samples', 1e5, samples=((0.0, 0.0), (2e-7, 1.0), (1e-6, -0.5)))]; "
+            "[kerrcat.run_experiment(kerrcat.ExperimentConfig(kerrcat.ProtocolParams(alpha0=1.5), lp, force, 5000)) "
+            "for force in forces]; "
             "print(sorted(m for m in ('scipy.fft', 'scipy.integrate') if m in sys.modules))"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(kerrcat.__file__).parents[1])}

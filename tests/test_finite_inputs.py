@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from kerrcat.loss import LossParams
-from kerrcat.montecarlo import ExperimentConfig, ForceSpec
+from kerrcat.loss import ForceSpec, LossParams
+from kerrcat.montecarlo import ExperimentConfig
 from kerrcat.protocol import PhysicalForce, ProtocolParams, run_ideal
 
 NAN = math.nan

@@ -18,7 +18,8 @@ from pathlib import Path
 import pytest
 
 from _support import reference_params
-from kerrcat.montecarlo import ExperimentConfig, ForceSpec, predicted_signal, run_experiment
+from kerrcat.loss import ForceSpec
+from kerrcat.montecarlo import ExperimentConfig, predicted_signal, run_experiment
 from kerrcat.protocol import ProtocolParams
 
 GOLDEN = Path(__file__).parent / "golden" / "shot_engine.json"

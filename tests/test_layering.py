@@ -30,3 +30,25 @@ def test_package_exports_every_public_module_name():
     for module in (fock, protocol, loss, montecarlo):
         for name in module.__all__:
             assert getattr(kerrcat, name) is getattr(module, name), name
+
+
+
+def imported_modules(tree: ast.AST) -> set[str]:
+    """Every module an import statement names, ``from scipy import integrate`` as ``scipy.integrate``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in MODULES if path.name != "validation.py"], ids=lambda path: path.name
+)
+def test_only_validation_imports_scipy_integrate(path):
+    # The kick statistics are closed forms; only validate's QUADPACK reference is a quadrature.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert not [name for name in imported_modules(tree) if name.split(".")[:2] == ["scipy", "integrate"]]

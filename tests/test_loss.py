@@ -19,6 +19,7 @@ from kerrcat.fock import (
     quadrature_distribution,
 )
 from kerrcat.loss import (
+    ForceSpec,
     KickStats,
     LossParams,
     OverdampedTransferError,
@@ -190,7 +191,7 @@ class TestThermalOccupation:
 class TestMomentumKickStats:
     def test_zero_force_zero_temp_matches_closed_form(self):
         lp = reference_params()
-        stats = momentum_kick_stats(lambda s: 0.0, lp)
+        stats = momentum_kick_stats(None, lp)
         assert stats.mean == 0.0
         omega, nu, t = lp.omega_m, lp.nu, lp.T_swap
         closed = (
@@ -208,7 +209,7 @@ class TestMomentumKickStats:
     def test_resonant_force_accumulates(self):
         lp = reference_params()
         f0 = 2.0
-        stats = momentum_kick_stats(lambda s: f0 * math.cos(lp.omega_m * s), lp)
+        stats = momentum_kick_stats(ForceSpec(shape="resonant-cosine", amplitude=f0), lp)
         assert abs(stats.mean - f0 / lp.nu) / (f0 / lp.nu) < 0.02
 
     def test_constant_force_over_integer_periods_cancels(self):
@@ -217,21 +218,21 @@ class TestMomentumKickStats:
         lp = LossParams(kappa=0.0, gamma=0.0, g=omega / 20.0, omega_m=omega, lambda_kerr=TWO_PI * 7e6)
         assert abs(lp.T_swap - 10.0 * TWO_PI / omega) < 1e-18
         f0 = 3.0
-        stats = momentum_kick_stats(lambda s: f0, lp)
+        stats = momentum_kick_stats(ForceSpec(shape="constant", amplitude=f0), lp)
         assert abs(stats.mean) < 0.01 * f0 * lp.T_swap
 
     def test_variance_linear_in_noise_strength(self):
         omega = TWO_PI * 10e6
         t1 = hbar * omega / (k_boltzmann * math.log(51.0 / 50.0))
-        cold = momentum_kick_stats(lambda s: 0.0, reference_params())
-        hot = momentum_kick_stats(lambda s: 0.0, reference_params(temp=t1))
+        cold = momentum_kick_stats(None, reference_params())
+        hot = momentum_kick_stats(None, reference_params(temp=t1))
         ratio = hot.variance / cold.variance
         assert abs(ratio - 101.0) < 1e-9
 
     def test_thermal_kick_scale_at_occupation_fifty(self):
         omega = TWO_PI * 10e6
         t1 = hbar * omega / (k_boltzmann * math.log(51.0 / 50.0))
-        stats = momentum_kick_stats(lambda s: 0.0, reference_params(temp=t1))
+        stats = momentum_kick_stats(None, reference_params(temp=t1))
         assert 4e-3 < stats.std < 6e-3
 
     def test_invalid_stats_rejected(self):
@@ -252,30 +253,132 @@ class TestMomentumKickStats:
             return (math.sin(lp.nu * s) * math.cos(lp.omega_m * s)) ** 2
 
         filtered, *_ = quad(integrand, 0.0, lp.T_swap, limit=800, epsabs=1e-14, epsrel=1e-11)
-        variance = momentum_kick_stats(lambda s: 0.0, lp).variance
+        variance = momentum_kick_stats(None, lp).variance
         assert abs(variance - (2.0 * lp.n_bar + 1.0) * filtered) <= 1e-14 * variance
 
     def test_variance_filter_at_equal_swap_and_mechanical_frequencies(self):
         lp = LossParams(kappa=0.0, gamma=0.0, g=1e6, omega_m=1e6, lambda_kerr=1.0)
         assert lp.nu == lp.omega_m
         # sin^2(w s) cos^2(w s) = (1 - cos 4 w s) / 8 integrates to T/8 over T = pi/w.
-        variance = momentum_kick_stats(lambda s: 0.0, lp).variance
+        variance = momentum_kick_stats(None, lp).variance
         assert abs(variance - lp.T_swap / 8.0) <= 1e-15 * variance
 
     @pytest.mark.parametrize("g", [26e3, 25.5e3])
     def test_many_period_swap_converges(self, g):
-        # Near the overdamped edge the swap lasts ~700+ mechanical periods; the
-        # mean integral needs more than 800 subdivisions there.
+        # Near the overdamped edge the swap lasts ~700+ mechanical periods.
         lp = dataclasses.replace(reference_params(), g=TWO_PI * g)
         f0 = 2.0
-        stats = momentum_kick_stats(lambda s: f0 * math.cos(lp.omega_m * s), lp)
+        stats = momentum_kick_stats(ForceSpec(shape="resonant-cosine", amplitude=f0), lp)
         assert abs(stats.mean - f0 / lp.nu) / (f0 / lp.nu) < 0.02
 
-    def test_non_converging_integral_raises(self):
-        # A force ~ 1/s^2 makes the mean integrand ~ nu/s near s = 0, whose
-        # integral diverges: quadrature must fail loudly, not return a number.
-        with pytest.raises(RuntimeError, match="did not converge"):
-            momentum_kick_stats(lambda s: 1.0 / s**2, reference_params())
+
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+
+
+def kick_mean_by_gauss_legendre(force: ForceSpec, lp: LossParams) -> float:
+    """Reference kick mean: a 20-point Gauss-Legendre rule on every half period of ``nu + 2 omega``.
+
+    The panels never cross a sample time, so the waveform is smooth on each one.
+    """
+    nu, omega, t_swap = lp.nu, lp.omega_m, lp.T_swap
+    if force.shape == "resonant-cosine":
+        def waveform(s):
+            return np.cos(omega * s + force.phase)
+
+        breaks = [0.0, t_swap]
+    else:
+        times, values = np.array(((0.0, 1.0),) if force.shape == "constant" else force.samples).T
+
+        def waveform(s):
+            return np.interp(s, times, values)
+
+        breaks = [0.0, *times[(times > 0.0) & (times < t_swap)], t_swap]
+    total = 0.0
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        edges = np.linspace(a, b, math.ceil((b - a) * (nu + 2.0 * omega) / math.pi) + 1)
+        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+        s = mid[:, None] + half[:, None] * GL_NODES
+        total += float(np.sum(half[:, None] * GL_WEIGHTS * np.sin(nu * s) * np.cos(omega * s) * waveform(s)))
+    return force.amplitude * total
+
+
+def forty_sample_sine() -> ForceSpec:
+    times = np.linspace(0.0, 1.2e-6, 40)
+    return ForceSpec(shape="custom-samples", amplitude=1e5, samples=tuple(zip(times, np.sin(3e7 * times))))
+
+
+def reference_forces(t_swap: float) -> list[ForceSpec]:
+    """Every force shape, both amplitude signs, a phase and tables with kinks inside and around the swap."""
+    rng = np.random.default_rng(5)
+    return [
+        ForceSpec(shape="constant", amplitude=8e4),
+        ForceSpec(shape="constant", amplitude=-8e4),
+        ForceSpec(shape="resonant-cosine", amplitude=1.5e5),
+        ForceSpec(shape="resonant-cosine", amplitude=-1.5e5, phase=0.3),
+        ForceSpec(
+            shape="custom-samples", amplitude=1e5, samples=((0.0, 0.0), (2e-7, 1.0), (6e-7, -0.5), (1e-6, 0.25))
+        ),
+        ForceSpec(
+            shape="custom-samples",
+            amplitude=-2e5,
+            samples=tuple(zip(t_swap * np.array([-0.3, 0.2, 0.55, 0.9, 1.4]), (0.7, -1.0, 0.4, 1.0, -0.2))),
+        ),
+        forty_sample_sine(),
+        # 20 swaps at the reference rates, all inside the swap near the overdamped edge.
+        ForceSpec(
+            shape="custom-samples",
+            amplitude=1e5,
+            samples=tuple(zip(np.linspace(0.0, 2e-5, 1000), rng.standard_normal(1000))),
+        ),
+    ]
+
+
+def kick_mean_errors(lp: LossParams) -> list[float]:
+    """``|closed form - reference| / (|amplitude| T_swap)`` for each of the reference forces."""
+    return [
+        abs(momentum_kick_stats(force, lp).mean - kick_mean_by_gauss_legendre(force, lp))
+        / (abs(force.amplitude) * lp.T_swap)
+        for force in reference_forces(lp.T_swap)
+    ]
+
+
+#: g/2pi x omega_m/2pi (Hz) at the reference loss rates, plus a lossless swap with nu = omega_m.
+KICK_GRID = {
+    f"g={g:g}-omega_m={omega_m:g}": dataclasses.replace(
+        reference_params(temp=0.05), g=TWO_PI * g, omega_m=TWO_PI * omega_m
+    )
+    for g in (25.5e3, 27e3, 100e3, 500e3, 3e6, 10e6)
+    for omega_m in (0.2e6, 10e6, 30e6)
+} | {"nu=omega_m": LossParams(kappa=0.0, gamma=0.0, g=1e6, omega_m=1e6, lambda_kerr=1.0)}
+
+
+class TestKickMeanClosedForm:
+    @pytest.mark.parametrize("lp", KICK_GRID.values(), ids=KICK_GRID.keys())
+    def test_matches_gauss_legendre_over_the_grid(self, lp):
+        # Measured: within 3.5e-14, the largest where omega*T_swap is largest (phase rounding on both sides).
+        assert max(kick_mean_errors(lp)) <= 1e-13
+
+    def test_matches_gauss_legendre_at_the_reference_rates(self):
+        # Measured: within 2.3e-16.
+        assert max(kick_mean_errors(reference_params(temp=0.05))) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "force, lp, bound",
+        [
+            (forty_sample_sine(), reference_params(temp=0.05), 1e-15),
+            (
+                ForceSpec(shape="constant", amplitude=8e4),
+                dataclasses.replace(reference_params(temp=0.05), g=TWO_PI * 27e3),
+                1e-13,
+            ),
+        ],
+        ids=["forty-sample-sine", "constant-at-27kHz"],
+    )
+    def test_finite_where_adaptive_quadrature_failed(self, force, lp, bound):
+        # Both made QUADPACK report round-off and raise.
+        mean = momentum_kick_stats(force, lp).mean
+        assert math.isfinite(mean)
+        assert abs(mean - kick_mean_by_gauss_legendre(force, lp)) <= bound * abs(force.amplitude) * lp.T_swap
 
 
 class TestLossChannel:

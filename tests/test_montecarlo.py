@@ -17,11 +17,10 @@ from _support import params_for, reference_params
 from kerrcat import montecarlo
 from kerrcat._coherent import kicked_prob_x_positive
 from kerrcat.fock import prob_quadrature_positive
-from kerrcat.loss import KickStats, lossy_offset, momentum_kick_stats, run_lossy_trajectory
+from kerrcat.loss import ForceSpec, KickStats, lossy_offset, momentum_kick_stats, run_lossy_trajectory
 from kerrcat.montecarlo import (
     SWEEP_AXES,
     ExperimentConfig,
-    ForceSpec,
     outcome_probability,
     predicted_signal,
     run_experiment,
@@ -72,10 +71,12 @@ def spy_read_out(monkeypatch) -> list[tuple[int, int]]:
 class TestSampleKick:
     def test_zero_variance_returns_mean_exactly(self):
         stats = KickStats(mean=0.0123, variance=0.0)
-        assert sample_kick(_stream(7), stats) == 0.0123
-        draws = sample_kick(_stream(7), stats, size=100)
+        rng = _stream(7)
+        draws = sample_kick(rng, stats, size=100)
         assert draws.shape == (100,)
         assert np.all(draws == 0.0123)
+        # The draws consumed their uniforms, as draws of a non-zero variance do.
+        assert rng.random() == _stream(7).random(101)[100]
 
     def test_moments_match_request(self):
         stats = KickStats(mean=0.3, variance=0.04)
@@ -97,10 +98,6 @@ class TestSampleKick:
         second = sample_kick(rng, stats, size=5)
         joined = sample_kick(_stream(5), stats, size=10)
         assert np.array_equal(np.concatenate([first, second]), joined)
-
-    def test_scalar_draw_is_float(self):
-        value = sample_kick(_stream(9), KickStats(mean=0.0, variance=1.0))
-        assert isinstance(value, float)
 
 
 class TestOutcomeProbability:
@@ -227,6 +224,10 @@ class TestConfigValidation:
             ForceSpec(shape="custom-samples", amplitude=1.0)
         with pytest.raises(ValueError):
             ForceSpec(shape="constant", amplitude=1.0, samples=((0.0, 1.0),))
+        with pytest.raises(ValueError, match="phase"):
+            ForceSpec(shape="constant", amplitude=1.0, phase=0.3)
+        with pytest.raises(ValueError, match="phase"):
+            ForceSpec(shape="custom-samples", amplitude=1.0, phase=-0.3, samples=((0.0, 1.0),))
         with pytest.raises(ValueError, match="increasing"):
             ForceSpec(
                 shape="custom-samples",
@@ -234,19 +235,25 @@ class TestConfigValidation:
                 samples=((0.0, 1.0), (0.0, 2.0)),
             )
 
-    def test_force_spec_waveforms(self):
-        omega = 2.0 * math.pi * 1e6
-        const = ForceSpec(shape="constant", amplitude=2.5).as_function(omega)
-        assert const(0.0) == 2.5
-        assert const(1.0) == 2.5
-        cos = ForceSpec(shape="resonant-cosine", amplitude=3.0, phase=0.5).as_function(omega)
-        assert cos(0.0) == pytest.approx(3.0 * math.cos(0.5), abs=1e-15)
-        interp = ForceSpec(
-            shape="custom-samples",
-            amplitude=2.0,
-            samples=((0.0, 0.0), (1.0, 1.0)),
-        ).as_function(omega)
-        assert interp(0.5) == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize("time", [0.0, -1.0, 3e-7, 1.0])
+    def test_force_spec_waveforms(self, time):
+        lp = reference_params()
+        t_swap, amplitude = lp.T_swap, 2.5
+        # A one-sample table is the constant held everywhere; a sample inside the
+        # swap splits it in two segments, which moves the rounding only.
+        table = ForceSpec(shape="custom-samples", amplitude=amplitude, samples=((time, 1.0),))
+        constant = momentum_kick_stats(ForceSpec(shape="constant", amplitude=amplitude), lp).mean
+        if 0.0 < time < t_swap:
+            assert abs(momentum_kick_stats(table, lp).mean - constant) <= 1e-16 * amplitude * t_swap
+        else:
+            assert momentum_kick_stats(table, lp).mean == constant
+        # The ramp f(s) = A s / T over [0, T]: INT s sin(k s) ds = [sin(k s)/k^2 - s cos(k s)/k] from 0 to T.
+        ramp = ForceSpec(shape="custom-samples", amplitude=amplitude, samples=((0.0, 0.0), (t_swap, 1.0)))
+        exact = sum(
+            0.5 * (math.sin(k * t_swap) / k**2 - t_swap * math.cos(k * t_swap) / k)
+            for k in (lp.nu + lp.omega_m, lp.nu - lp.omega_m)
+        )
+        assert abs(momentum_kick_stats(ramp, lp).mean - amplitude * exact / t_swap) <= 1e-15 * amplitude * t_swap
 
 
 class TestRunExperiment:
@@ -286,7 +293,7 @@ class TestRunExperiment:
         base = lossy_config(protocol=ProtocolParams(alpha0=1.0, apply_offset=True), shots=100_000)
         spec = ForceSpec(shape="resonant-cosine", amplitude=0.05 * lp.nu)
         forced = dataclasses.replace(base, force_spec=spec)
-        kick_mean = momentum_kick_stats(spec.as_function(lp.omega_m), lp).mean
+        kick_mean = momentum_kick_stats(spec, lp).mean
         assert kick_mean == pytest.approx(0.05, rel=0.05)
         s_plain = run_experiment(base).S
         s_forced = run_experiment(forced).S
@@ -690,9 +697,9 @@ class TestSweep:
     def test_lossy_cell_runs_the_kick_quadrature_once(self, monkeypatch):
         calls = []
 
-        def spy(force_fn, lp):
+        def spy(force, lp):
             calls.append(lp.temp)
-            return momentum_kick_stats(force_fn, lp)
+            return momentum_kick_stats(force, lp)
 
         monkeypatch.setattr(montecarlo, "momentum_kick_stats", spy)
         sweep("temp", [0.0, 0.05], lossy_config(shots=100))
