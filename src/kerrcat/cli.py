@@ -286,7 +286,10 @@ def validate(config_path: str | None, tolerance: float | None) -> None:
 def sweep_cmd(config_path, axis, values, out_path, fmt, seed, shots, engine) -> None:
     """Sweep one parameter and write a plot-ready table (CSV or JSON)."""
     base = _scenario(config_path, seed=seed, shots=shots, engine=engine)
-    parsed_values = [float(v) for v in values.split(",") if v.strip()]
+    entries = values.split(",")
+    if not all(entry.strip() for entry in entries):
+        raise click.UsageError(f"--values has an empty entry: {values!r}")
+    parsed_values = [float(v) for v in entries]
     # Rate axes are quoted in Hz at the CLI, like the INI [loss] keys.
     scale = TWO_PI if axis in _HZ_KEYS else 1.0
     rows = run_sweep(axis, [scale * v for v in parsed_values], base)

@@ -26,7 +26,9 @@ A shot needs ``p1`` only to compare it with its outcome uniform. So a chunk
 of distinct thermal kicks evaluates the engine at a few Chebyshev points of
 the chunk's kick range, decides its shots from the fitted series, and hands
 back to the engine only the shots whose uniform lies within ``_TIE_BAND`` of
-the fit (see :func:`run_experiment`).
+the fit. Where the series' bound allows it, a shot is decided from its
+outcome uniform alone, and its kick is never computed (see
+:func:`run_experiment`).
 """
 
 from __future__ import annotations
@@ -145,7 +147,13 @@ class SweepRow:
 
 def _stream(seed: int, purpose: int) -> np.random.Generator:
     """Counter-based RNG stream keyed by (master seed, purpose tag)."""
-    return np.random.Generator(np.random.Philox(key=[int(seed), int(purpose)]))
+    # A list of Python ints would reach Philox through float64, which merges seeds of 2**63 and above.
+    return np.random.Generator(np.random.Philox(key=np.array([seed, purpose], dtype=np.uint64)))
+
+
+def _kicks_from(u: np.ndarray, stats: KickStats) -> np.ndarray:
+    """The kicks of uniforms ``u``: the inverse normal CDF, with ``u = 0`` clamped to the smallest double."""
+    return stats.mean + stats.std * ndtri(np.maximum(u, np.finfo(float).tiny))
 
 
 def sample_kick(rng_stream: np.random.Generator, stats: KickStats, size: int) -> np.ndarray:
@@ -155,8 +163,7 @@ def sample_kick(rng_stream: np.random.Generator, stats: KickStats, size: int) ->
     normal CDF, so draw sequences are reproducible and order-independent.
     Zero variance returns the mean exactly.
     """
-    u = np.maximum(rng_stream.random(size), np.finfo(float).tiny)
-    return stats.mean + stats.std * ndtri(u)
+    return _kicks_from(rng_stream.random(size), stats)
 
 
 def _total_kick(delta_prime, config: ExperimentConfig):
@@ -315,34 +322,58 @@ def _chebyshev_fit(p1_at, degree: int) -> np.ndarray | None:
         values = finer
 
 
-def _chunk_p1(kicks: np.ndarray, u_out: np.ndarray, config: ExperimentConfig) -> np.ndarray:
-    """``p1`` of each kick of a chunk, from the engine wherever ``u_out < p1`` could depend on it.
+def _chunk_engine(deltas: np.ndarray, lo: float, hi: float, config: ExperimentConfig) -> np.ndarray:
+    """``p1`` of ``deltas`` from the engine, in a batch sized as for a chunk with kicks in ``[lo, hi]``."""
+    # The extreme kicks ride along, so the brute-force engine sizes N as for the whole chunk.
+    return outcome_probability(np.concatenate(([lo, hi], deltas)), config)[2:]
 
-    The fit and its fall-backs are described in :func:`run_experiment`.
+
+def _chunk_fit(lo: float, hi: float, config: ExperimentConfig) -> np.ndarray | None:
+    """Chebyshev series of ``p1`` over the kicks ``[lo, hi]`` mapped onto [-1, 1], or ``None``.
+
+    ``None`` sends the chunk to the engine at every kick; see :func:`run_experiment`.
     """
-    lo, hi = float(np.min(kicks)), float(np.max(kicks))
     # Over a half-width (hi - lo)/2, a band limit B takes a degree of about B (hi - lo)/2.
     degree = _MIN_FIT_DEGREE
     while degree < (hi - lo) * _p1_bandwidth(config) / 2.0:
         degree *= 2
     if not hi > lo or degree > _MAX_FIT_DEGREE:
-        return outcome_probability(kicks, config)
+        return None
+    return _chebyshev_fit(lambda t: _chunk_engine(0.5 * (lo * (1.0 - t) + hi * (1.0 + t)), lo, hi, config), degree)
 
-    def p1_at(deltas):
-        # The extreme kicks ride along, so the brute-force engine sizes N as for the whole chunk.
-        return outcome_probability(np.concatenate(([lo, hi], deltas)), config)[2:]
 
-    def p1_at_unit(t):
-        return p1_at(0.5 * (lo * (1.0 - t) + hi * (1.0 + t)))
+def _chunk_heads(
+    u_kick: np.ndarray, u_out: np.ndarray, emitted: np.ndarray | None, stats: KickStats, config: ExperimentConfig
+) -> np.ndarray:
+    """Heads of each shot of a chunk of distinct kicks, mapping a kick uniform only where the outcome needs it.
 
-    coeffs = _chebyshev_fit(p1_at_unit, degree)
+    ``u_kick`` and ``u_out`` are the chunk's kick and outcome uniforms, and
+    ``emitted`` marks its fair-coin shots (``None`` marks none). The fit, the
+    bound and the fall-backs are described in :func:`run_experiment`.
+    """
+    if emitted is None:
+        emitted = np.zeros(u_out.size, dtype=bool)
+    lo, hi = _kicks_from(np.array([u_kick.min(), u_kick.max()]), stats)
+    coeffs = _chunk_fit(lo, hi, config)
     if coeffs is None:
-        return outcome_probability(kicks, config)
-    p1 = chebval((2.0 * kicks - (lo + hi)) / (hi - lo), coeffs)
-    near = np.flatnonzero(np.abs(u_out - p1) <= _TIE_BAND)
+        return np.where(emitted, u_out < 0.5, u_out < outcome_probability(_kicks_from(u_kick, stats), config))
+    # On [-1, 1] the series lies within sum_{k>=1} |c_k| of c0. A uniform farther than that plus the
+    # tie band from c0 lies more than the band from its shot's fitted p1, on the same side as c0.
+    c0, reach = coeffs[0], np.sum(np.abs(coeffs[1:])) + _TIE_BAND
+    heads = np.where(emitted, u_out < 0.5, u_out < c0)
+    open_shots = np.flatnonzero(~emitted & (u_out >= c0 - reach) & (u_out <= c0 + reach))
+    # ndtri is not monotone to the ulp (near u = e^-2 and 1 - e^-2), so a kick can lie an ulp
+    # outside [lo, hi]. Its t is clipped to [-1, 1], where the bound holds, which moves its fitted
+    # p1 by the slope times an ulp. Unclipped, in a chunk only a few ulps wide such a kick can land
+    # at |t| = 3, where the series' rounding noise grows past the tie band.
+    kicks = _kicks_from(u_kick[open_shots], stats)
+    u = u_out[open_shots]
+    p1 = chebval(np.clip((2.0 * kicks - (lo + hi)) / (hi - lo), -1.0, 1.0), coeffs)
+    near = np.flatnonzero(np.abs(u - p1) <= _TIE_BAND)
     if near.size:
-        p1[near] = p1_at(kicks[near])
-    return p1
+        p1[near] = _chunk_engine(kicks[near], lo, hi, config)
+    heads[open_shots] = u < p1
+    return heads
 
 
 def _kick_stats(config: ExperimentConfig) -> KickStats:
@@ -407,6 +438,16 @@ def run_experiment(config: ExperimentConfig) -> SignalEstimate:
     for one kick can differ by up to one ulp with the length of the batch
     it is evaluated in; outside the band that cannot move an outcome either.
 
+    Most shots of a fitted chunk are decided from their outcome uniform
+    alone. The chunk's kick range is the kicks of its smallest and largest
+    kick uniform, and on it the series lies within ``R = sum_{k>=1} |c_k|``
+    of its constant term ``c0``. A shot that was emitted, or whose uniform
+    lies farther than ``R + _TIE_BAND`` from ``c0``, lies more than the band
+    from its fitted ``p1`` too, so its outcome is known without its kick.
+    Only the other shots map their kick uniform through ``ndtri`` and
+    evaluate the series and the tie check (at 0.02-0.1 K with alpha0 = 1.5,
+    about 11% of them).
+
     Each shot draws and evaluates only what its outcome depends on. With a
     zero-variance kick (the ideal model) every shot shares one kick, so
     ``p1`` is evaluated once, as a one-element batch, and no kick uniforms
@@ -428,12 +469,13 @@ def _simulate(config: ExperimentConfig, stats: KickStats, p_emit: float, p1) -> 
     for start in range(0, m_total, _CHUNK_SHOTS):
         size = min(_CHUNK_SHOTS, m_total - start)
         u_out = out_rng.random(size)
+        emitted = emit_rng.random(size) < p_emit if p_emit > 0.0 else None
         if not constant_kick:
-            p1 = _chunk_p1(sample_kick(kick_rng, stats, size=size), u_out, config)
-        if p_emit == 0.0:
+            heads = _chunk_heads(kick_rng.random(size), u_out, emitted, stats, config)
+        elif emitted is None:
             heads = u_out < p1
         else:
-            heads = np.where(emit_rng.random(size) < p_emit, u_out < 0.5, u_out < p1)
+            heads = np.where(emitted, u_out < 0.5, u_out < p1)
         m_counts += int(np.count_nonzero(heads))
     return SignalEstimate(
         m_counts=m_counts,
@@ -486,7 +528,8 @@ def _apply_axis(base: ExperimentConfig, axis: str, value) -> ExperimentConfig:
 def sweep(axis: str, values, base: ExperimentConfig) -> list[SweepRow]:
     """Run one experiment per value of the swept parameter.
 
-    Cell ``i`` runs with seed ``base.seed + i`` (documented, deterministic).
+    Cell ``i`` runs with seed ``base.seed + i`` (documented, deterministic);
+    if the last cell's seed would pass ``2**64 - 1``, no cell runs.
     Each row carries the measured estimate, the exact-engine prediction
     ``S_analytic``, and the emission probability for that cell. The run and
     the prediction of a cell share one evaluation of the kick statistics, the
@@ -497,6 +540,9 @@ def sweep(axis: str, values, base: ExperimentConfig) -> list[SweepRow]:
     values = list(values)
     if not values:
         raise ValueError("sweep needs at least one value")
+    last_seed = base.seed + len(values) - 1
+    if last_seed >= 2**64:
+        raise ValueError(f"the last sweep cell's seed {last_seed} is not a 64-bit unsigned integer")
     rows = []
     for index, value in enumerate(values):
         cell = _apply_axis(base, axis, value)

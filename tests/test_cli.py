@@ -470,6 +470,29 @@ class TestCommands:
         assert result.exit_code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("values", ["0,,0.1", "0,0.1,", ",0"])
+    def test_sweep_empty_value_entry_exits_two(self, tmp_path, values):
+        out = tmp_path / "never.csv"
+        result = self.runner.invoke(main, ["sweep", "--axis", "delta", "--values", values, "--out", str(out)])
+        assert result.exit_code == 2
+        assert "empty entry" in result.output
+        assert not out.exists()
+
+    def test_sweep_seed_past_the_range_exits_two_before_any_cell(self, tmp_path):
+        out = tmp_path / "never.csv"
+        args = ["sweep", "--axis", "delta", "--values", "0,0.01", "--out", str(out), "--seed", str(2**64 - 1)]
+        result = self.runner.invoke(main, args + ["--shots", "10"])
+        assert result.exit_code == 2, result.output
+        assert str(2**64) in result.output
+        assert not out.exists()
+
+    def test_sweep_at_the_largest_seed_runs(self, tmp_path):
+        out = tmp_path / "top.csv"
+        args = ["sweep", "--axis", "delta", "--values", "0", "--out", str(out), "--seed", str(2**64 - 1)]
+        result = self.runner.invoke(main, args + ["--shots", "10"])
+        assert result.exit_code == 0, result.output
+        assert out.read_text().splitlines()[1].endswith(f",{2**64 - 1}")
+
     def test_sweep_invalid_axis_exits_two(self, tmp_path):
         result = self.runner.invoke(
             main,

@@ -31,7 +31,7 @@ from kerrcat.protocol import ProtocolParams, run_ideal
 
 
 def _stream(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed, 1]))
+    return montecarlo._stream(seed, montecarlo._KICK_STREAM)
 
 
 def ideal_config(**overrides) -> ExperimentConfig:
@@ -256,6 +256,23 @@ class TestConfigValidation:
         assert abs(momentum_kick_stats(ramp, lp).mean - amplitude * exact / t_swap) <= 1e-15 * amplitude * t_swap
 
 
+class TestStreams:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**63 - 1])
+    def test_seeds_below_2_63_keep_their_streams(self, seed):
+        for purpose in (montecarlo._KICK_STREAM, montecarlo._EMISSION_STREAM, montecarlo._OUTCOME_STREAM):
+            listed = np.random.Generator(np.random.Philox(key=[seed, purpose])).random(8)
+            np.testing.assert_array_equal(montecarlo._stream(seed, purpose).random(8), listed)
+
+    def test_seeds_from_2_63_get_streams_of_their_own(self):
+        # A key list of Python ints reached Philox through float64: these four
+        # seeds fell on two keys, the top two on seed 0's, with a RuntimeWarning.
+        seeds = [0, 2**63, 2**63 + 5, 2**64 - 2, 2**64 - 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            firsts = [montecarlo._stream(seed, montecarlo._KICK_STREAM).random(4).tobytes() for seed in seeds]
+        assert len(set(firsts)) == len(seeds)
+
+
 class TestRunExperiment:
     def test_deterministic_for_identical_config(self):
         cfg = ideal_config()
@@ -357,7 +374,8 @@ class TestEngineCalls:
 def _engine_counts(config: ExperimentConfig) -> int:
     """``m_counts`` on the streams of ``run_experiment``, with the engine evaluated at every kick."""
     stats, p_emit = montecarlo._kick_stats(config), montecarlo._emission_prob(config)
-    kick_rng, emit_rng, out_rng = (np.random.Generator(np.random.Philox(key=[config.seed, k])) for k in (1, 2, 3))
+    purposes = (montecarlo._KICK_STREAM, montecarlo._EMISSION_STREAM, montecarlo._OUTCOME_STREAM)
+    kick_rng, emit_rng, out_rng = (montecarlo._stream(config.seed, purpose) for purpose in purposes)
     heads = 0
     for start in range(0, config.shots, montecarlo._CHUNK_SHOTS):
         size = min(montecarlo._CHUNK_SHOTS, config.shots - start)
@@ -366,6 +384,33 @@ def _engine_counts(config: ExperimentConfig) -> int:
         emitted = emit_rng.random(size) < p_emit if p_emit > 0.0 else np.zeros(size, dtype=bool)
         heads += int(np.count_nonzero(np.where(emitted, u_out < 0.5, u_out < p1)))
     return heads
+
+
+def _chunk_kicks(u_kick: np.ndarray, config: ExperimentConfig) -> tuple[np.ndarray, float, float]:
+    """The kicks of a chunk's uniforms, and the fit range: the kicks of its extreme uniforms."""
+    stats = montecarlo._kick_stats(config)
+    lo, hi = montecarlo._kicks_from(np.array([u_kick.min(), u_kick.max()]), stats)
+    return montecarlo._kicks_from(u_kick, stats), lo, hi
+
+
+def _fitted(kicks: np.ndarray, lo: float, hi: float, config: ExperimentConfig) -> np.ndarray:
+    """The chunk fit's ``p1`` at each kick."""
+    coeffs = montecarlo._chunk_fit(lo, hi, config)
+    assert coeffs is not None
+    return chebval(np.clip((2.0 * kicks - (lo + hi)) / (hi - lo), -1.0, 1.0), coeffs)
+
+
+def _spy_kick_map(monkeypatch) -> list[np.ndarray]:
+    """Record the uniforms of every call of the uniform-to-kick map."""
+    seen = []
+    kicks_from = montecarlo._kicks_from
+
+    def spy(u, stats):
+        seen.append(np.array(u))
+        return kicks_from(u, stats)
+
+    monkeypatch.setattr(montecarlo, "_kicks_from", spy)
+    return seen
 
 
 class TestChunkFit:
@@ -433,15 +478,15 @@ class TestChunkFit:
         # Checked at points it was not fitted on, the fit also holds between them
         # (measured: at most 7.0e-15 on this grid, both offsets, two seeds).
         config = lossy_config(protocol=ProtocolParams(alpha0=alpha0, apply_offset=True), loss=reference_params(temp=temp))
-        kicks = sample_kick(_stream(1), montecarlo._kick_stats(config), size=montecarlo._CHUNK_SHOTS)
-        no_ties = np.full(kicks.size, 2.0)
-        fitted = montecarlo._chunk_p1(kicks, no_ties, config)
+        kicks, lo, hi = _chunk_kicks(_stream(1).random(montecarlo._CHUNK_SHOTS), config)
+        fitted = _fitted(kicks, lo, hi, config)
         assert np.max(np.abs(fitted - outcome_probability(kicks, config))) <= montecarlo._FIT_TOL
 
     def test_near_ties_are_decided_by_the_engine(self, monkeypatch):
         config = lossy_config(loss=reference_params(temp=0.05))
-        kicks = sample_kick(_stream(4), montecarlo._kick_stats(config), size=montecarlo._CHUNK_SHOTS)
-        fitted = montecarlo._chunk_p1(kicks, np.full(kicks.size, 2.0), config)
+        u_kick = _stream(4).random(montecarlo._CHUNK_SHOTS)
+        kicks, lo, hi = _chunk_kicks(u_kick, config)
+        fitted = _fitted(kicks, lo, hi, config)
         band = montecarlo._TIE_BAND
         u_out = np.random.default_rng(0).random(kicks.size)
         u_out[[3, 500, 60_000]] = fitted[[3, 500, 60_000]]
@@ -457,12 +502,63 @@ class TestChunkFit:
             return result
 
         monkeypatch.setattr(montecarlo, "outcome_probability", spy)
-        p1 = montecarlo._chunk_p1(kicks, u_out, config)
+        heads = montecarlo._chunk_heads(u_kick, u_out, None, montecarlo._kick_stats(config), config)
         deltas, values = calls[-1]
-        np.testing.assert_array_equal(deltas, np.concatenate(([kicks.min(), kicks.max()], kicks[ties])))
-        np.testing.assert_array_equal(p1[ties], values[2:])
+        np.testing.assert_array_equal(deltas, np.concatenate(([lo, hi], kicks[ties])))
+        np.testing.assert_array_equal(heads[ties], u_out[ties] < values[2:])
         rest = np.setdiff1d(np.arange(kicks.size), ties)
-        np.testing.assert_array_equal(p1[rest], fitted[rest])
+        np.testing.assert_array_equal(heads[rest], u_out[rest] < fitted[rest])
+
+    def test_cold_chunk_maps_only_the_kicks_its_coins_need(self, monkeypatch):
+        # alpha0 = 1.5 at 0.05 K: about 13% of the outcome uniforms fall within
+        # the series' bound of its constant term.
+        config = lossy_config(loss=reference_params(temp=0.05))
+        stats, size = montecarlo._kick_stats(config), 2**16
+        u_kick, u_out = _stream(6).random(size), np.random.default_rng(6).random(size)
+        emitted = np.random.default_rng(7).random(size) < 0.1
+        mapped = _spy_kick_map(monkeypatch)
+        heads = montecarlo._chunk_heads(u_kick, u_out, emitted, stats, config)
+        assert len(mapped) == 2
+        np.testing.assert_array_equal(mapped[0], [u_kick.min(), u_kick.max()])
+        assert mapped[1].size <= 0.2 * size
+        assert not np.any(np.isin(mapped[1], u_kick[emitted]))
+        p1 = outcome_probability(sample_kick(_stream(6), stats, size), config)
+        np.testing.assert_array_equal(heads, np.where(emitted, u_out < 0.5, u_out < p1))
+
+    @pytest.mark.filterwarnings("ignore:emission probability exceeds")
+    def test_hot_chunk_maps_every_kick(self, monkeypatch):
+        # At 300 K the range of an alpha0 = 4 chunk asks for more than the node cap.
+        config = lossy_config(protocol=ProtocolParams(alpha0=4.0, apply_offset=True), loss=reference_params(temp=300.0))
+        stats, size = montecarlo._kick_stats(config), 2**16
+        u_kick, u_out = _stream(8).random(size), np.random.default_rng(8).random(size)
+        emitted = np.random.default_rng(9).random(size) < 0.1
+        mapped = _spy_kick_map(monkeypatch)
+        heads = montecarlo._chunk_heads(u_kick, u_out, emitted, stats, config)
+        assert [m.size for m in mapped] == [2, size]
+        p1 = outcome_probability(sample_kick(_stream(8), stats, size), config)
+        np.testing.assert_array_equal(heads, np.where(emitted, u_out < 0.5, u_out < p1))
+
+    @pytest.mark.parametrize("centre", [math.exp(-2.0), 1.0 - math.exp(-2.0)])
+    @pytest.mark.parametrize("alpha0", [1.5, 4.0])
+    def test_chunks_straddling_a_non_monotone_ndtri_meet_the_engine(self, alpha0, centre):
+        # Near e^-2 and 1 - e^-2, ndtri is not monotone to the ulp, so the kicks
+        # of the extreme uniforms need not be the extreme kicks. Chunks of 3 and
+        # 5 consecutive doubles there, and one spread over (centre, 1), each get
+        # uniforms half a tie band either side of every engine p1.
+        config = lossy_config(protocol=ProtocolParams(alpha0=alpha0, apply_offset=True), loss=reference_params(temp=0.05))
+        stats = montecarlo._kick_stats(config)
+        doubles = centre + np.spacing(centre) * np.arange(-160, 161)
+        chunks = [doubles[start : start + width] for width in (3, 5) for start in range(doubles.size - width)]
+        chunks.append(np.concatenate((doubles, np.random.default_rng(3).uniform(centre, 1.0, 2000))))
+        outside = 0
+        for u_kick in chunks:
+            kicks, lo, hi = _chunk_kicks(np.repeat(u_kick, 2), config)
+            outside += bool(np.any((kicks < lo) | (kicks > hi)))
+            p1 = outcome_probability(kicks, config)
+            u_out = p1 + np.tile([0.5, -0.5], u_kick.size) * montecarlo._TIE_BAND
+            heads = montecarlo._chunk_heads(np.repeat(u_kick, 2), u_out, None, stats, config)
+            np.testing.assert_array_equal(heads, u_out < p1)
+        assert outside > 0
 
     @pytest.mark.filterwarnings("ignore:emission probability exceeds")
     def test_hot_chunks_fall_back_within_the_node_cap(self, monkeypatch):
@@ -626,6 +722,13 @@ class TestSweep:
             assert row.estimate.seed == 5 + index
             assert row.P_emission == 0.0
             assert row.estimate.M == base.shots
+
+    def test_seed_past_the_range_fails_before_the_first_cell(self, monkeypatch):
+        cells = []
+        monkeypatch.setattr(montecarlo, "_simulate", lambda *args: cells.append(args))
+        with pytest.raises(ValueError, match=str(2**64)):
+            sweep("delta", [0.0, 0.01], ideal_config(seed=2**64 - 1))
+        assert cells == []
 
     def test_cells_track_prediction(self):
         rows = sweep("delta", [-0.02, 0.0, 0.02], ideal_config())
