@@ -11,8 +11,10 @@ Randomness is counter-based and order-independent: three independent
 Philox streams keyed ``(seed, purpose)`` drive kicks, emission decisions,
 and outcome coins, one uniform per shot per stream; a stream whose decision
 cannot vary (a zero-variance kick, a zero emission probability) is not
-drawn. Identical ``(config, seed)`` reproduce results bit-exactly
-regardless of scheduling.
+drawn. Shots run in chunks, and each chunk opens its streams at its own
+counter, so the chunks of a run are drawn and decided concurrently, one
+per core. Identical ``(config, seed)`` reproduce results bit-exactly
+regardless of scheduling and of the number of cores.
 
 Two outcome engines are provided. The ``analytic`` engine evaluates
 ``p1`` exactly from the coherent-branch algebra (closed-form Gaussian
@@ -34,10 +36,14 @@ outcome uniform alone, and its kick is never computed (see
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import math
 import numbers
+import os
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,10 +151,15 @@ class SweepRow:
     P_emission: float
 
 
-def _stream(seed: int, purpose: int) -> np.random.Generator:
-    """Counter-based RNG stream keyed by (master seed, purpose tag)."""
+def _stream(seed: int, purpose: int, first: int = 0) -> np.random.Generator:
+    """Counter-based RNG stream keyed by (master seed, purpose tag), from its uniform number ``first`` on.
+
+    ``first`` is a multiple of 4: each Philox counter step yields four 64-bit
+    words, and a uniform double takes one word.
+    """
     # A list of Python ints would reach Philox through float64, which merges seeds of 2**63 and above.
-    return np.random.Generator(np.random.Philox(key=np.array([seed, purpose], dtype=np.uint64)))
+    key = np.array([seed, purpose], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=first // 4))
 
 
 def _kicks_from(u: np.ndarray, stats: KickStats) -> np.ndarray:
@@ -418,8 +429,13 @@ def run_experiment(config: ExperimentConfig) -> SignalEstimate:
     bit-exact for identical inputs.
 
     Shots run in chunks of ``_CHUNK_SHOTS``, so memory stays bounded at any
-    shot count. A Philox stream yields the same uniforms whether drawn at
-    once or in chunks, so chunking moves no uniform.
+    shot count. Each chunk opens its three streams at the counter of its
+    first shot, so it draws the same uniforms as a run drawn in one piece,
+    and no chunk waits for another. The chunks of a run of more than one
+    chunk run on a pool of threads, one per core this process may use, and
+    ``m_counts`` sums their heads; a one-chunk run stays on the calling
+    thread. The counts do not depend on the number of cores or on the order
+    in which chunks finish.
 
     A chunk of distinct kicks, whatever its length, does not evaluate the
     engine per shot. It fits a Chebyshev series to ``p1`` over the chunk's
@@ -460,29 +476,53 @@ def run_experiment(config: ExperimentConfig) -> SignalEstimate:
 
 def _simulate(config: ExperimentConfig, stats: KickStats, p_emit: float, p1) -> SignalEstimate:
     """The shot loop of :func:`run_experiment`, on the inputs of :func:`_cell_inputs`."""
-    m_total = config.shots
-    kick_rng = _stream(config.seed, _KICK_STREAM)
-    emit_rng = _stream(config.seed, _EMISSION_STREAM)
-    out_rng = _stream(config.seed, _OUTCOME_STREAM)
-    constant_kick = stats.variance == 0.0
-    m_counts = 0
-    for start in range(0, m_total, _CHUNK_SHOTS):
-        size = min(_CHUNK_SHOTS, m_total - start)
-        u_out = out_rng.random(size)
-        emitted = emit_rng.random(size) < p_emit if p_emit > 0.0 else None
-        if not constant_kick:
-            heads = _chunk_heads(kick_rng.random(size), u_out, emitted, stats, config)
-        elif emitted is None:
-            heads = u_out < p1
-        else:
-            heads = np.where(emitted, u_out < 0.5, u_out < p1)
-        m_counts += int(np.count_nonzero(heads))
+    starts = range(0, config.shots, _CHUNK_SHOTS)
+    count = functools.partial(_chunk_count, config, stats, p_emit, p1)
+    m_counts = count(0) if len(starts) == 1 else sum(_chunk_pool().map(count, starts))
     return SignalEstimate(
         m_counts=m_counts,
-        M=m_total,
+        M=config.shots,
         seed=config.seed,
         params_digest=_digest(config),
     )
+
+
+def _chunk_count(config: ExperimentConfig, stats: KickStats, p_emit: float, p1, start: int) -> int:
+    """Heads among the shots ``start`` to ``start + _CHUNK_SHOTS`` of a run, from streams opened at ``start``."""
+    size = min(_CHUNK_SHOTS, config.shots - start)
+    u_out = _stream(config.seed, _OUTCOME_STREAM, start).random(size)
+    emitted = _stream(config.seed, _EMISSION_STREAM, start).random(size) < p_emit if p_emit > 0.0 else None
+    if stats.variance > 0.0:
+        heads = _chunk_heads(_stream(config.seed, _KICK_STREAM, start).random(size), u_out, emitted, stats, config)
+    elif emitted is None:
+        heads = u_out < p1
+    else:
+        heads = np.where(emitted, u_out < 0.5, u_out < p1)
+    return int(np.count_nonzero(heads))
+
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _chunk_pool() -> ThreadPoolExecutor:
+    """The threads that run the chunks of a run, one per core this process may use; made on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+            _pool = ThreadPoolExecutor(cores or 1, thread_name_prefix="kerrcat-chunk")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # A forked child inherits the pool but not its threads: work handed to it would wait forever.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def predicted_signal(config: ExperimentConfig) -> tuple[float, float]:

@@ -4,15 +4,25 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import itertools
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
+from collections import defaultdict
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import chebval
 from scipy.special import roots_hermite
 
+import kerrcat
 from _support import params_for, reference_params
 from kerrcat import montecarlo
 from kerrcat._coherent import kicked_prob_x_positive
@@ -55,13 +65,13 @@ def lossy_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-def spy_read_out(monkeypatch) -> list[tuple[int, int]]:
-    """Record the ``(N, kicks)`` shape of every batched brute-force read-out."""
-    shapes = []
+def spy_read_out(monkeypatch) -> defaultdict[int, list[tuple[int, int]]]:
+    """Record the ``(N, kicks)`` shape of every batched brute-force read-out, per thread."""
+    shapes = defaultdict(list)
     read_out = montecarlo.prob_positive_columns
 
     def spy(amplitudes):
-        shapes.append(amplitudes.shape)
+        shapes[threading.get_ident()].append(amplitudes.shape)
         return read_out(amplitudes)
 
     monkeypatch.setattr(montecarlo, "prob_positive_columns", spy)
@@ -189,16 +199,18 @@ class TestConfigValidation:
     def test_brute_force_thermal_batch_shares_one_dimension(self, monkeypatch):
         # Every batch of a chunk (its fit's nodes and near-ties, or all the kicks
         # of the 50-shot tail) is sized for the chunk's largest total kick,
-        # never kick by kick.
+        # never kick by kick. Chunks run concurrently, so a batch's read-outs are
+        # those of its own thread.
         shots = montecarlo._CHUNK_SHOTS + 50
         shapes = spy_read_out(monkeypatch)
         dims = []
         batch = montecarlo._p1_brute_force
 
         def spy(delta_prime, config):
-            first = len(shapes)
+            mine = shapes[threading.get_ident()]
+            first = len(mine)
             result = batch(delta_prime, config)
-            dims.append({dim for dim, _ in shapes[first:]})
+            dims.append({dim for dim, _ in mine[first:]})
             return result
 
         monkeypatch.setattr(montecarlo, "_p1_brute_force", spy)
@@ -271,6 +283,17 @@ class TestStreams:
             warnings.simplefilter("error")
             firsts = [montecarlo._stream(seed, montecarlo._KICK_STREAM).random(4).tobytes() for seed in seeds]
         assert len(set(firsts)) == len(seeds)
+
+    @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("first", [0, 4, 2**16, 3 * 2**16])
+    def test_stream_opened_at_a_uniform_continues_the_whole_stream(self, seed, first):
+        for purpose in (montecarlo._KICK_STREAM, montecarlo._EMISSION_STREAM, montecarlo._OUTCOME_STREAM):
+            whole = montecarlo._stream(seed, purpose).random(first + 1000)
+            np.testing.assert_array_equal(montecarlo._stream(seed, purpose, first).random(1000), whole[first:])
+
+    def test_chunks_start_on_a_counter_step(self):
+        # A stream opens at a counter step of four uniforms, so every chunk must start on one.
+        assert montecarlo._CHUNK_SHOTS % 4 == 0
 
 
 class TestRunExperiment:
@@ -577,6 +600,104 @@ class TestChunkFit:
         assert sum(size - 2 for size in sizes[:-1]) <= 2 * montecarlo._MAX_FIT_DEGREE + 1
 
 
+def _in_a_child(config: ExperimentConfig, queue) -> None:
+    queue.put(run_experiment(config).m_counts)
+
+
+class TestConcurrentChunks:
+    """The chunks of a run run on a pool of threads, and no count depends on it."""
+
+    SHOTS = 2 * 2**16 + 5
+
+    @pytest.mark.filterwarnings("ignore:emission probability exceeds")
+    @pytest.mark.parametrize(
+        "alpha0, temp, engine",
+        [(1.5, 0.05, "analytic"), (4.0, 300.0, "analytic"), (0.5, 30.0, "brute-force")],
+        ids=["cold", "hot-fall-back", "brute-force"],
+    )
+    def test_counts_do_not_depend_on_the_worker_count(self, monkeypatch, alpha0, temp, engine):
+        config = lossy_config(
+            protocol=ProtocolParams(alpha0=alpha0, apply_offset=True),
+            loss=reference_params(temp=temp),
+            shots=self.SHOTS,
+            seed=3,
+            engine=engine,
+        )
+        threads = []
+        chunk_count = montecarlo._chunk_count
+
+        def spy(*args):
+            threads.append(threading.current_thread().name)
+            return chunk_count(*args)
+
+        monkeypatch.setattr(montecarlo, "_chunk_count", spy)
+        counts = []
+        interval = sys.getswitchinterval()
+        # Threads switch far more often than by default, so chunks interleave at many points.
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3):
+                with ThreadPoolExecutor(workers, thread_name_prefix=f"test-{workers}") as pool:
+                    monkeypatch.setattr(montecarlo, "_pool", pool)
+                    counts.append(run_experiment(config).m_counts)
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts == [_engine_counts(config)] * 3
+        assert [name.split("_")[0] for name in threads] == ["test-1"] * 3 + ["test-2"] * 3 + ["test-3"] * 3
+
+    def test_a_failing_chunk_raises_to_the_caller(self, monkeypatch):
+        config = lossy_config(loss=reference_params(temp=0.05), shots=self.SHOTS, seed=3)
+        calls = itertools.count(1)
+        failure = RuntimeError("third chunk fails")
+        chunk_heads = montecarlo._chunk_heads
+
+        def spy(*args):
+            if next(calls) == 3:
+                raise failure
+            return chunk_heads(*args)
+
+        monkeypatch.setattr(montecarlo, "_chunk_heads", spy)
+        with pytest.raises(RuntimeError) as raised:
+            run_experiment(config)
+        assert raised.value is failure
+        assert run_experiment(config).m_counts == _engine_counts(config)
+
+    # Forking a process that runs threads is the hazard under test; Python 3.12+ warns of it.
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_a_forked_child_runs_a_multi_chunk_run(self):
+        # A child inherits the parent's pool but not its threads; the child must not hand it work.
+        config = lossy_config(loss=reference_params(temp=0.05), shots=self.SHOTS, seed=3)
+        m_counts = run_experiment(config).m_counts
+        assert montecarlo._pool is not None
+        context = multiprocessing.get_context("fork")
+        queue = context.Queue()
+        child = context.Process(target=_in_a_child, args=(config, queue))
+        child.start()
+        try:
+            assert queue.get(timeout=60) == m_counts
+            child.join(timeout=60)
+            assert child.exitcode == 0
+        finally:
+            child.kill()
+            child.join()
+
+    def test_only_a_multi_chunk_run_starts_threads(self):
+        # One thread per core this process may use, started by the first run of more than one chunk.
+        code = (
+            "import dataclasses, os, threading, kerrcat; "
+            "counts = [threading.active_count()]; "
+            "lp = dataclasses.replace(kerrcat.reference_loss_params(), temp=0.05); "
+            "config = kerrcat.ExperimentConfig(kerrcat.ProtocolParams(alpha0=1.5), lp, shots=2**16); "
+            "kerrcat.run_experiment(config); counts.append(threading.active_count()); "
+            "kerrcat.run_experiment(dataclasses.replace(config, shots=2**17)); "
+            "counts.append(threading.active_count() - len(os.sched_getaffinity(0))); "
+            "print(counts)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(kerrcat.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        assert out.stdout.split() == ["[1,", "1,", "1]"]
+
+
 class TestPrediction:
     """``predicted_signal`` averages ``p1`` over the kick noise to convergence at any temperature."""
 
@@ -645,7 +766,7 @@ class TestBruteForceBatch:
             assert abs(value - prob_quadrature_positive(psi)) <= 1e-15, kick
 
     def test_large_batch_is_read_out_in_bounded_slices(self, monkeypatch):
-        shapes = spy_read_out(monkeypatch)
+        shapes = spy_read_out(monkeypatch)[threading.get_ident()]
         protocol = ProtocolParams(alpha0=2.0, apply_offset=True, truncation=160)
         config = ExperimentConfig(protocol=protocol, engine="brute-force")
         p1 = outcome_probability(np.linspace(-0.1, 0.1, 1000), config)
