@@ -12,8 +12,8 @@ Philox streams keyed ``(seed, purpose)`` drive kicks, emission decisions,
 and outcome coins, one uniform per shot per stream; a stream whose decision
 cannot vary (a zero-variance kick, a zero emission probability) is not
 drawn. Shots run in chunks, and each chunk opens its streams at its own
-counter, so the chunks of a run are drawn and decided concurrently, one
-per core. Identical ``(config, seed)`` reproduce results bit-exactly
+counter, so the chunks of a run are drawn and decided concurrently, up to
+two at once. Identical ``(config, seed)`` reproduce results bit-exactly
 regardless of scheduling and of the number of cores.
 
 Two outcome engines are provided. The ``analytic`` engine evaluates
@@ -81,6 +81,10 @@ _OUTCOME_STREAM = 3
 
 #: Shots evaluated per batch by ``run_experiment``.
 _CHUNK_SHOTS = 2**16
+#: Most chunks of a run in flight at once. Each holds its own working set
+#: (~8 MB at 300 K with alpha0 = 4), so this caps a run's memory on any host;
+#: two chunks at once were measured at ~1.3x the speed of one, more were not.
+_MAX_CHUNKS_IN_FLIGHT = 2
 
 #: Fewest Gauss-Hermite nodes of the kick average.
 _MIN_HERMITE_NODES = 21
@@ -428,14 +432,16 @@ def run_experiment(config: ExperimentConfig) -> SignalEstimate:
     counter-based streams derived from ``config.seed``, so results are
     bit-exact for identical inputs.
 
-    Shots run in chunks of ``_CHUNK_SHOTS``, so memory stays bounded at any
-    shot count. Each chunk opens its three streams at the counter of its
-    first shot, so it draws the same uniforms as a run drawn in one piece,
-    and no chunk waits for another. The chunks of a run of more than one
-    chunk run on a pool of threads, one per core this process may use, and
-    ``m_counts`` sums their heads; a one-chunk run stays on the calling
-    thread. The counts do not depend on the number of cores or on the order
-    in which chunks finish.
+    Shots run in chunks of ``_CHUNK_SHOTS``. Each chunk opens its three
+    streams at the counter of its first shot, so it draws the same uniforms
+    as a run drawn in one piece, and no chunk waits for another. The chunks
+    of a run of more than one chunk run on a pool of threads, made by the
+    first such run, one per core this process may use but at most
+    ``_MAX_CHUNKS_IN_FLIGHT``, and ``m_counts`` sums their heads; a
+    one-chunk run stays on the calling thread. Memory grows with the chunks
+    in flight, not with the shot count, so it stays bounded on any host.
+    The counts do not depend on the number of cores or on the order in
+    which chunks finish.
 
     A chunk of distinct kicks, whatever its length, does not evaluate the
     engine per shot. It fits a Chebyshev series to ``p1`` over the chunk's
@@ -501,17 +507,24 @@ def _chunk_count(config: ExperimentConfig, stats: KickStats, p_emit: float, p1, 
     return int(np.count_nonzero(heads))
 
 
+def _workers() -> int:
+    """Threads that run the chunks of a multi-chunk run: one per core this process may use, at most ``_MAX_CHUNKS_IN_FLIGHT``."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cores or 1, _MAX_CHUNKS_IN_FLIGHT)
+
+
+# The pool outlives a run: opening one per run measured no gain over running
+# the chunks one after another, and a higher peak RSS.
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
 
 
 def _chunk_pool() -> ThreadPoolExecutor:
-    """The threads that run the chunks of a run, one per core this process may use; made on first use."""
+    """The threads that run the chunks of a run; made on first use."""
     global _pool
     with _pool_lock:
         if _pool is None:
-            cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-            _pool = ThreadPoolExecutor(cores or 1, thread_name_prefix="kerrcat-chunk")
+            _pool = ThreadPoolExecutor(_workers(), thread_name_prefix="kerrcat-chunk")
         return _pool
 
 

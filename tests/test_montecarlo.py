@@ -645,6 +645,12 @@ class TestConcurrentChunks:
         assert counts == [_engine_counts(config)] * 3
         assert [name.split("_")[0] for name in threads] == ["test-1"] * 3 + ["test-2"] * 3 + ["test-3"] * 3
 
+    @pytest.mark.parametrize("cores, workers", [(1, 1), (2, 2), (16, montecarlo._MAX_CHUNKS_IN_FLIGHT)])
+    def test_chunks_in_flight_are_capped_on_any_host(self, monkeypatch, cores, workers):
+        # Each chunk in flight holds its own working set, so a many-core host must not raise a run's memory.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        assert montecarlo._workers() == workers
+
     def test_a_failing_chunk_raises_to_the_caller(self, monkeypatch):
         config = lossy_config(loss=reference_params(temp=0.05), shots=self.SHOTS, seed=3)
         calls = itertools.count(1)
@@ -682,15 +688,15 @@ class TestConcurrentChunks:
             child.join()
 
     def test_only_a_multi_chunk_run_starts_threads(self):
-        # One thread per core this process may use, started by the first run of more than one chunk.
+        # The first run of more than one chunk starts the pool's threads, one per chunk in flight.
         code = (
-            "import dataclasses, os, threading, kerrcat; "
+            "import dataclasses, threading, kerrcat; "
             "counts = [threading.active_count()]; "
             "lp = dataclasses.replace(kerrcat.reference_loss_params(), temp=0.05); "
             "config = kerrcat.ExperimentConfig(kerrcat.ProtocolParams(alpha0=1.5), lp, shots=2**16); "
             "kerrcat.run_experiment(config); counts.append(threading.active_count()); "
             "kerrcat.run_experiment(dataclasses.replace(config, shots=2**17)); "
-            "counts.append(threading.active_count() - len(os.sched_getaffinity(0))); "
+            "counts.append(threading.active_count() - kerrcat.montecarlo._workers()); "
             "print(counts)"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(kerrcat.__file__).parents[1])}
