@@ -343,25 +343,34 @@ def momentum_kick_stats(force: ForceSpec | None, lp: LossParams) -> KickStats:
     return KickStats(mean=mean, variance=variance)
 
 
-def _beam_splitter(theta: float, N: int) -> np.ndarray:
-    """Two-mode beam splitter ``exp(-i*theta*G)``, ``G = i(a c_dag - a_dag c)``.
+def _splitter_block(theta: float, N: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Block ``n`` of the beam splitter ``exp(-i*theta*G)``, ``G = i(a c_dag - a_dag c)``.
 
     ``G`` conserves the total photon number ``n = i + j`` (also on the
     truncated space), so the splitter is block diagonal with ``2N - 1``
     blocks of size ``<= N``. Block ``n`` is tridiagonal in the system level
-    ``i`` with ``G[i, i+1] = i*sqrt(i+1)*sqrt(n-i)``; each block is
-    diagonalized on its own, and every entry coupling different ``n`` is
-    exactly zero. Basis ordering as in ``loss_channel``.
+    ``i`` with ``G[i, i+1] = i*sqrt(i+1)*sqrt(n-i)`` and is diagonalized on
+    its own. Returns the system levels ``i`` of the block, ``V*exp(-i*theta*L)``
+    and ``V``, so that the block is ``V*exp(-i*theta*L) @ V^dagger``.
+    """
+    levels = np.arange(max(0, n - N + 1), min(n, N - 1) + 1)
+    lower = levels[:-1]
+    block = np.diag(1j * np.sqrt((lower + 1.0) * (n - lower)), 1)
+    evals, evecs = np.linalg.eigh(block + block.conj().T)
+    return levels, evecs * np.exp(-1j * theta * evals), evecs
+
+
+def _beam_splitter(theta: float, N: int) -> np.ndarray:
+    """Two-mode beam splitter ``exp(-i*theta*G)`` from its ``2N - 1`` blocks.
+
+    Every entry coupling different total photon numbers is exactly zero
+    (see :func:`_splitter_block`). Basis ordering as in ``loss_channel``.
     """
     splitter = np.zeros((N * N, N * N), dtype=complex)
     for n in range(2 * N - 1):
-        levels = np.arange(max(0, n - N + 1), min(n, N - 1) + 1)
-        lower = levels[:-1]
-        block = np.diag(1j * np.sqrt((lower + 1.0) * (n - lower)), 1)
-        block = block + block.conj().T
-        evals, evecs = np.linalg.eigh(block)
+        levels, rotated, evecs = _splitter_block(theta, N, n)
         index = levels * N + (n - levels)
-        splitter[np.ix_(index, index)] = (evecs * np.exp(-1j * theta * evals)) @ evecs.conj().T
+        splitter[np.ix_(index, index)] = rotated @ evecs.conj().T
     return splitter
 
 
@@ -397,18 +406,30 @@ def loss_channel(lp: LossParams, delta_prime: float, N: int) -> FockOperator:
 def two_mode_conditional_mean(alpha: float, delta_prime: float, lp: LossParams) -> float:
     """Brute-force conditional mean quadrature of the lossy pipeline.
 
-    Runs ``W(pi/2)``, ``loss_channel`` and ``W(pi/2)`` on system (x)
-    auxiliary (24 levels each, auxiliary starting in vacuum), projects the
-    auxiliary onto vacuum (no emission detected) and returns ``<X>`` of the
-    normalized system state. This is the independent number-basis reference
-    for ``mean_X_lossy``.
+    Runs ``W(pi/2)``, the transfer channel of ``loss_channel`` and
+    ``W(pi/2)`` on system (x) auxiliary (24 levels each, auxiliary starting
+    in vacuum), projects the auxiliary onto vacuum (no emission detected)
+    and returns ``<X>`` of the normalized system state. This is the
+    independent number-basis reference for ``mean_X_lossy``.
+
+    The one input state is propagated through the beam splitter block by
+    block: its system level ``n`` (auxiliary in vacuum) is the last level of
+    photon-number block ``n``, so only blocks ``n < 24`` are reached, each
+    diagonalized numerically as in ``loss_channel``. The fixed 24 levels
+    admit ``alpha <= 1.8``; from ``alpha = 1.9`` ``coherent_state`` raises
+    ``TruncationError``.
     """
     N = 24
     w = no_emission_diagonal(math.pi / 2.0, lp, N)
-    start = np.kron(w * coherent_state(alpha, N).amplitudes, np.eye(N)[0])
-    psi = loss_channel(lp, delta_prime, N).entries @ start
-    # Auxiliary level 0 is column 0 of the (system, auxiliary) grid; W (x) I scales its system levels.
-    cond = w * psi.reshape(N, N)[:, 0]
+    start = w * coherent_state(alpha, N).amplitudes
+    theta = math.acos(min(lp.xi, 1.0))
+    # (system, auxiliary) grid of the state after the beam splitter.
+    psi = np.zeros((N, N), dtype=complex)
+    for n in range(N):
+        levels, rotated, evecs = _splitter_block(theta, N, n)
+        psi[levels, n - levels] = start[n] * (rotated @ evecs[-1].conj())
+    # Auxiliary level 0 is column 0 of the grid; D (x) I and W (x) I act on its system levels.
+    cond = w * (force_kick(-delta_prime, N).entries @ psi[:, 0])
     return mean_quadrature(FockVector(cond / np.linalg.norm(cond)))
 
 

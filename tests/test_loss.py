@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ from scipy.integrate import quad
 from _support import TWO_PI, no_loss_params, params_for, reference_params
 from kerrcat.fock import (
     FockVector,
+    TruncationError,
     coherent_state,
     fidelity,
     force_kick,
     kerr_unitary,
     ladder_ops,
+    mean_quadrature,
     quadrature_distribution,
 )
 from kerrcat.loss import (
@@ -31,6 +34,7 @@ from kerrcat.loss import (
     mean_X_lossy_linearized,
     momentum_kick_stats,
     no_emission_diagonal,
+    reference_loss_params,
     run_lossy_trajectory,
     single_emission_state,
     swap_parameters,
@@ -51,6 +55,16 @@ def dense_loss_channel(lp: LossParams, delta_prime: float, N: int) -> np.ndarray
     evals, evecs = np.linalg.eigh(generator)
     splitter = (evecs * np.exp(-1j * theta_bs * evals)) @ evecs.conj().T
     return np.kron(force_kick(-delta_prime, N).entries, eye) @ splitter
+
+
+def dense_conditional_mean(alpha: float, delta_prime: float, lp: LossParams) -> float:
+    """Reference two-mode mean: the dense ``loss_channel`` applied to ``W(pi/2)|alpha> (x) |0>``."""
+    N = 24
+    w = no_emission_diagonal(math.pi / 2.0, lp, N)
+    start = np.kron(w * coherent_state(alpha, N).amplitudes, np.eye(N)[0])
+    psi = loss_channel(lp, delta_prime, N).entries @ start
+    cond = w * psi.reshape(N, N)[:, 0]
+    return mean_quadrature(FockVector(cond / np.linalg.norm(cond)))
 
 
 def dense_trajectory(alpha0, delta_prime: float, lp: LossParams, t_emit, N: int) -> np.ndarray:
@@ -450,6 +464,31 @@ class TestLossChannel:
         off_block = total[:, np.newaxis] != total[np.newaxis, :]
         assert np.all(splitter[off_block] == 0.0)
         assert np.any(splitter[~off_block] != 0.0)
+
+
+class TestTwoModeConditionalMean:
+    @pytest.mark.parametrize("xi_target", [1.0, 0.9, 0.6])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("delta_prime", [0.0, 0.02, -0.3])
+    def test_matches_dense_channel(self, xi_target, alpha, delta_prime):
+        lp = params_for(xi_target, 0.05) if xi_target < 1.0 else no_loss_params()
+        want = dense_conditional_mean(alpha, delta_prime, lp)
+        assert abs(two_mode_conditional_mean(alpha, delta_prime, lp) - want) <= 1e-14
+
+    def test_one_call_stays_under_1_mb(self):
+        # The dense 576 x 576 channel alone is 5.3 MB; one propagated state is 9 KB.
+        tracemalloc.start()
+        try:
+            two_mode_conditional_mean(1.5, 0.02, reference_loss_params())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_fixed_truncation_rejects_large_amplitude(self):
+        # The 24 levels admit alpha <= 1.8; a larger amplitude must not truncate silently.
+        with pytest.raises(TruncationError):
+            two_mode_conditional_mean(2.0, 0.0, reference_loss_params())
 
 
 class TestLossyKerrPropagator:
