@@ -22,7 +22,9 @@ half-line integrals), vectorized over kicks. The ``brute-force`` engine
 rebuilds the final states of a batch of kicks in the truncated number basis,
 applying the kicks in the eigenbasis of ``a + a_dag``, and reads
 ``Prob(X > 0)`` off their amplitudes through the exact half-line Hermite
-overlaps; it is the independent validation path.
+overlaps; it is the independent validation path. Both read a config resolved
+once into a model (:func:`_model`, the only branch between the ideal and the
+lossy pipeline), which a sweep cell's run and prediction share.
 
 A shot needs ``p1`` only to compare it with its outcome uniform. So a chunk
 of distinct thermal kicks evaluates the engine at a few Chebyshev points of
@@ -43,6 +45,7 @@ import numbers
 import os
 import threading
 import warnings
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -50,7 +53,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebval
 from scipy.special import ndtri, roots_hermite
 
-from kerrcat._coherent import ideal_pipeline, kicked_prob_x_positive, lossy_pipeline
+from kerrcat._coherent import KickedPair, ideal_pipeline, kicked_prob_x_positive, lossy_pipeline
 from kerrcat.fock import apply_kicks, kicked_truncation, prob_positive_columns, require_finite
 from kerrcat.loss import (
     ForceSpec,
@@ -66,7 +69,6 @@ from kerrcat.protocol import ProtocolParams, SignalEstimate, ideal_stages, offse
 __all__ = [
     "ExperimentConfig",
     "SweepRow",
-    "sample_kick",
     "outcome_probability",
     "predicted_signal",
     "run_experiment",
@@ -171,34 +173,64 @@ def _kicks_from(u: np.ndarray, stats: KickStats) -> np.ndarray:
     return stats.mean + stats.std * ndtri(np.maximum(u, np.finfo(float).tiny))
 
 
-def sample_kick(rng_stream: np.random.Generator, stats: KickStats, size: int) -> np.ndarray:
-    """``size`` Gaussian kick draws with the given mean and variance.
+@dataclass(frozen=True)
+class _Model:
+    """A config resolved, by :func:`_model`, into what the shot engine reads.
 
-    Consumes exactly one uniform per draw and maps it through the inverse
-    normal CDF, so draw sequences are reproducible and order-independent.
-    Zero variance returns the mean exactly.
+    ``stages(N)`` builds the number-basis stages around the kick ``q = stage_sign * total``.
+    ``P`` is evaluated on first read, which every run path makes before it reads the offset.
     """
-    return _kicks_from(rng_stream.random(size), stats)
+
+    config: ExperimentConfig
+    stats: KickStats
+    pipeline: Callable[[np.ndarray], KickedPair]
+    stages: Callable[[int], tuple[np.ndarray, np.ndarray]]
+    stage_sign: float
+    emission: Callable[[], float]
+    offset: Callable[[], float]
+
+    @functools.cached_property
+    def P(self) -> float:
+        """The emission probability, clipped to [0, 1] by min/max: ``np.clip`` costs ~4 us per sweep cell."""
+        return min(max(self.emission(), 0.0), 1.0)
+
+    @functools.cached_property
+    def constant_p1(self) -> float | None:
+        """``p1`` of a constant kick, a one-element batch through the config's engine; ``None`` with kick noise."""
+        return self.p1(np.array([self.stats.mean]))[0] if self.stats.variance == 0.0 else None
+
+    def total(self, kicks: np.ndarray) -> np.ndarray:
+        """Physical kicks plus the working-point offset, if the config applies one."""
+        return kicks + self.offset() if self.config.protocol.apply_offset else kicks
+
+    def p1(self, kicks: np.ndarray) -> np.ndarray:
+        """``p1`` of a batch of physical kicks, from the config's engine."""
+        return (_p1_analytic if self.config.engine == "analytic" else _p1_brute_force)(kicks, self)
 
 
-def _total_kick(delta_prime, config: ExperimentConfig):
-    """Physical kick plus the working-point offset selected by the config."""
-    p = config.protocol
-    if not p.apply_offset:
-        return delta_prime
+def _model(config: ExperimentConfig) -> _Model:
+    """The ideal or the lossy model of a config: the shot engine's one branch on ``config.loss``."""
+    p, lp = config.protocol, config.loss
     if config.loss is None:
-        return delta_prime + offset_delta(p.alpha)
-    return delta_prime + lossy_offset(p.alpha, config.loss)
+        return _Model(
+            config, KickStats(mean=p.delta, variance=0.0), functools.partial(ideal_pipeline, p.alpha0),
+            stages=functools.partial(ideal_stages, p.alpha0), stage_sign=-1.0,
+            emission=lambda: 0.0, offset=functools.partial(offset_delta, p.alpha),
+        )
+    filtered = momentum_kick_stats(config.force_spec, lp)
+    return _Model(
+        config, KickStats(mean=p.delta + filtered.mean, variance=filtered.variance),
+        functools.partial(lossy_pipeline, complex(p.alpha0), eta=lp.eta, xi=lp.xi),
+        stages=functools.partial(lossy_stages, p.alpha0, lp), stage_sign=1.0,
+        # Photons leak at kappa*<n> = kappa*|alpha0|^2.
+        emission=functools.partial(emission_probability, abs(complex(p.alpha0)), lp),
+        offset=functools.partial(lossy_offset, p.alpha, lp),
+    )
 
 
-def _p1_analytic(delta_prime, config: ExperimentConfig):
+def _p1_analytic(delta_prime, model: _Model):
     """Exact no-emission outcome probability from the coherent-branch algebra."""
-    total = np.asarray(_total_kick(np.asarray(delta_prime, dtype=float), config))
-    if config.loss is None:
-        pair = ideal_pipeline(config.protocol.alpha0, total)
-    else:
-        lp = config.loss
-        pair = lossy_pipeline(complex(config.protocol.alpha0), total, lp.eta, lp.xi)
+    pair = model.pipeline(model.total(np.asarray(delta_prime, dtype=float)))
     return np.clip(kicked_prob_x_positive(pair), 0.0, 1.0)
 
 
@@ -212,7 +244,7 @@ def _p1_bandwidth(config: ExperimentConfig) -> float:
     return 4.0 * abs(complex(config.protocol.alpha0).real) + 18.0
 
 
-def _kick_average(stats: KickStats, config: ExperimentConfig) -> float:
+def _kick_average(model: _Model) -> float:
     """``E[p1]`` over the Gaussian kick, by Gauss-Hermite rules of doubling size.
 
     The first rule has ``(std * bandwidth / 2)^2`` nodes (see
@@ -225,10 +257,10 @@ def _kick_average(stats: KickStats, config: ExperimentConfig) -> float:
 
     def average(n: int) -> float:
         nodes, weights = roots_hermite(n)
-        deltas = stats.mean + math.sqrt(2.0 * stats.variance) * nodes
-        return float(weights @ _p1_analytic(deltas, config)) / math.sqrt(math.pi)
+        deltas = model.stats.mean + math.sqrt(2.0 * model.stats.variance) * nodes
+        return float(weights @ _p1_analytic(deltas, model)) / math.sqrt(math.pi)
 
-    spread = stats.std * _p1_bandwidth(config)
+    spread = model.stats.std * _p1_bandwidth(model.config)
     n = min(max(_MIN_HERMITE_NODES, math.ceil((spread / 2.0) ** 2)), _MAX_HERMITE_NODES)
     estimate = average(n)
     while 2 * n <= _MAX_HERMITE_NODES:
@@ -238,7 +270,7 @@ def _kick_average(stats: KickStats, config: ExperimentConfig) -> float:
             return estimate
         estimate = finer
     warnings.warn(
-        f"kick average of p1 did not converge with {n} Gauss-Hermite nodes (kick std {stats.std:.3g})",
+        f"kick average of p1 did not converge with {n} Gauss-Hermite nodes (kick std {model.stats.std:.3g})",
         stacklevel=4,
     )
     return estimate
@@ -260,20 +292,16 @@ def _brute_force_dim(config: ExperimentConfig, kick_bound: float = 0.0) -> int:
     return N
 
 
-def _p1_brute_force(delta_prime: np.ndarray, config: ExperimentConfig) -> np.ndarray:
+def _p1_brute_force(delta_prime: np.ndarray, model: _Model) -> np.ndarray:
     """Outcome probabilities from the truncated number-basis pipeline.
 
     A batch shares one dimension ``N``, sized for its largest total kick, and
     one pair of pipeline stages. Its kicks run in slices of ``_CHUNK_SHOTS // N``,
     so each ``(N, kicks)`` array holds at most ``_CHUNK_SHOTS`` entries.
     """
-    p = config.protocol
-    total = np.asarray(_total_kick(delta_prime, config))
-    N = _brute_force_dim(config, float(np.max(np.abs(total), initial=0.0)))
-    if config.loss is None:
-        (before, after), q = ideal_stages(p.alpha0, N), -total.ravel()
-    else:
-        (before, after), q = lossy_stages(p.alpha0, config.loss, N), total.ravel()
+    total = np.asarray(model.total(delta_prime))
+    N = _brute_force_dim(model.config, float(np.max(np.abs(total), initial=0.0)))
+    (before, after), q = model.stages(N), model.stage_sign * total.ravel()
     step = _CHUNK_SHOTS // N
     p1 = np.empty(q.size)
     for start in range(0, q.size, step):
@@ -291,8 +319,7 @@ def outcome_probability(delta_prime, config: ExperimentConfig):
     (vectorized over kicks in both engines).
     """
     arr = np.asarray(delta_prime, dtype=float)
-    engine = _p1_analytic if config.engine == "analytic" else _p1_brute_force
-    result = engine(arr, config)
+    result = _model(config).p1(arr)
     return float(result) if arr.ndim == 0 else result
 
 
@@ -337,29 +364,27 @@ def _chebyshev_fit(p1_at, degree: int) -> np.ndarray | None:
         values = finer
 
 
-def _chunk_engine(deltas: np.ndarray, lo: float, hi: float, config: ExperimentConfig) -> np.ndarray:
+def _chunk_engine(deltas: np.ndarray, lo: float, hi: float, model: _Model) -> np.ndarray:
     """``p1`` of ``deltas`` from the engine, in a batch sized as for a chunk with kicks in ``[lo, hi]``."""
     # The extreme kicks ride along, so the brute-force engine sizes N as for the whole chunk.
-    return outcome_probability(np.concatenate(([lo, hi], deltas)), config)[2:]
+    return model.p1(np.concatenate(([lo, hi], deltas)))[2:]
 
 
-def _chunk_fit(lo: float, hi: float, config: ExperimentConfig) -> np.ndarray | None:
+def _chunk_fit(lo: float, hi: float, model: _Model) -> np.ndarray | None:
     """Chebyshev series of ``p1`` over the kicks ``[lo, hi]`` mapped onto [-1, 1], or ``None``.
 
     ``None`` sends the chunk to the engine at every kick; see :func:`run_experiment`.
     """
     # Over a half-width (hi - lo)/2, a band limit B takes a degree of about B (hi - lo)/2.
     degree = _MIN_FIT_DEGREE
-    while degree < (hi - lo) * _p1_bandwidth(config) / 2.0:
+    while degree < (hi - lo) * _p1_bandwidth(model.config) / 2.0:
         degree *= 2
     if not hi > lo or degree > _MAX_FIT_DEGREE:
         return None
-    return _chebyshev_fit(lambda t: _chunk_engine(0.5 * (lo * (1.0 - t) + hi * (1.0 + t)), lo, hi, config), degree)
+    return _chebyshev_fit(lambda t: _chunk_engine(0.5 * (lo * (1.0 - t) + hi * (1.0 + t)), lo, hi, model), degree)
 
 
-def _chunk_heads(
-    u_kick: np.ndarray, u_out: np.ndarray, emitted: np.ndarray | None, stats: KickStats, config: ExperimentConfig
-) -> np.ndarray:
+def _chunk_heads(u_kick: np.ndarray, u_out: np.ndarray, emitted: np.ndarray | None, model: _Model) -> np.ndarray:
     """Heads of each shot of a chunk of distinct kicks, mapping a kick uniform only where the outcome needs it.
 
     ``u_kick`` and ``u_out`` are the chunk's kick and outcome uniforms, and
@@ -368,10 +393,10 @@ def _chunk_heads(
     """
     if emitted is None:
         emitted = np.zeros(u_out.size, dtype=bool)
-    lo, hi = _kicks_from(np.array([u_kick.min(), u_kick.max()]), stats)
-    coeffs = _chunk_fit(lo, hi, config)
+    lo, hi = _kicks_from(np.array([u_kick.min(), u_kick.max()]), model.stats)
+    coeffs = _chunk_fit(lo, hi, model)
     if coeffs is None:
-        return np.where(emitted, u_out < 0.5, u_out < outcome_probability(_kicks_from(u_kick, stats), config))
+        return np.where(emitted, u_out < 0.5, u_out < model.p1(_kicks_from(u_kick, model.stats)))
     # On [-1, 1] the series lies within sum_{k>=1} |c_k| of c0. A uniform farther than that plus the
     # tie band from c0 lies more than the band from its shot's fitted p1, on the same side as c0.
     c0, reach = coeffs[0], np.sum(np.abs(coeffs[1:])) + _TIE_BAND
@@ -381,41 +406,14 @@ def _chunk_heads(
     # outside [lo, hi]. Its t is clipped to [-1, 1], where the bound holds, which moves its fitted
     # p1 by the slope times an ulp. Unclipped, in a chunk only a few ulps wide such a kick can land
     # at |t| = 3, where the series' rounding noise grows past the tie band.
-    kicks = _kicks_from(u_kick[open_shots], stats)
+    kicks = _kicks_from(u_kick[open_shots], model.stats)
     u = u_out[open_shots]
     p1 = chebval(np.clip((2.0 * kicks - (lo + hi)) / (hi - lo), -1.0, 1.0), coeffs)
     near = np.flatnonzero(np.abs(u - p1) <= _TIE_BAND)
     if near.size:
-        p1[near] = _chunk_engine(kicks[near], lo, hi, config)
+        p1[near] = _chunk_engine(kicks[near], lo, hi, model)
     heads[open_shots] = u < p1
     return heads
-
-
-def _kick_stats(config: ExperimentConfig) -> KickStats:
-    """Per-shot kick distribution implied by the config."""
-    p = config.protocol
-    if config.loss is None:
-        return KickStats(mean=p.delta, variance=0.0)
-    filtered = momentum_kick_stats(config.force_spec, config.loss)
-    return KickStats(mean=p.delta + filtered.mean, variance=filtered.variance)
-
-
-def _emission_prob(config: ExperimentConfig) -> float:
-    if config.loss is None:
-        return 0.0
-    # Photons leak at kappa*<n> = kappa*|alpha0|^2.
-    return float(np.clip(emission_probability(abs(complex(config.protocol.alpha0)), config.loss), 0.0, 1.0))
-
-
-def _cell_inputs(config: ExperimentConfig) -> tuple[KickStats, float, float | None]:
-    """What a run and its prediction share: kick statistics, ``P``, and ``p1`` of a constant kick.
-
-    ``p1`` is ``None`` with kick noise; for a constant kick it is a
-    one-element batch through the config's engine.
-    """
-    stats = _kick_stats(config)
-    p1 = outcome_probability(np.array([stats.mean]), config)[0] if stats.variance == 0.0 else None
-    return stats, _emission_prob(config), p1
 
 
 def _digest(config: ExperimentConfig) -> str:
@@ -477,29 +475,31 @@ def run_experiment(config: ExperimentConfig) -> SignalEstimate:
     ``u < 0`` never holds for a uniform in [0, 1). Each stream has its own
     key, so skipping one moves none of the others.
     """
-    return _simulate(config, *_cell_inputs(config))
+    return _simulate(_model(config))
 
 
-def _simulate(config: ExperimentConfig, stats: KickStats, p_emit: float, p1) -> SignalEstimate:
-    """The shot loop of :func:`run_experiment`, on the inputs of :func:`_cell_inputs`."""
-    starts = range(0, config.shots, _CHUNK_SHOTS)
-    count = functools.partial(_chunk_count, config, stats, p_emit, p1)
+def _simulate(model: _Model) -> SignalEstimate:
+    """The shot loop of :func:`run_experiment`, on a model."""
+    # Read on the calling thread, so no chunk evaluates them, and P before the offset that p1 reads.
+    p_emit, p1 = model.P, model.constant_p1
+    starts = range(0, model.config.shots, _CHUNK_SHOTS)
+    count = functools.partial(_chunk_count, model, p_emit, p1)
     m_counts = count(0) if len(starts) == 1 else sum(_chunk_pool().map(count, starts))
     return SignalEstimate(
         m_counts=m_counts,
-        M=config.shots,
-        seed=config.seed,
-        params_digest=_digest(config),
+        M=model.config.shots,
+        seed=model.config.seed,
+        params_digest=_digest(model.config),
     )
 
 
-def _chunk_count(config: ExperimentConfig, stats: KickStats, p_emit: float, p1, start: int) -> int:
+def _chunk_count(model: _Model, p_emit: float, p1, start: int) -> int:
     """Heads among the shots ``start`` to ``start + _CHUNK_SHOTS`` of a run, from streams opened at ``start``."""
-    size = min(_CHUNK_SHOTS, config.shots - start)
-    u_out = _stream(config.seed, _OUTCOME_STREAM, start).random(size)
-    emitted = _stream(config.seed, _EMISSION_STREAM, start).random(size) < p_emit if p_emit > 0.0 else None
-    if stats.variance > 0.0:
-        heads = _chunk_heads(_stream(config.seed, _KICK_STREAM, start).random(size), u_out, emitted, stats, config)
+    seed, size = model.config.seed, min(_CHUNK_SHOTS, model.config.shots - start)
+    u_out = _stream(seed, _OUTCOME_STREAM, start).random(size)
+    emitted = _stream(seed, _EMISSION_STREAM, start).random(size) < p_emit if p_emit > 0.0 else None
+    if model.stats.variance > 0.0:
+        heads = _chunk_heads(_stream(seed, _KICK_STREAM, start).random(size), u_out, emitted, model)
     elif emitted is None:
         heads = u_out < p1
     else:
@@ -545,17 +545,18 @@ def predicted_signal(config: ExperimentConfig) -> tuple[float, float]:
     as many nodes as the kick noise needs; see :func:`_kick_average`) and
     applies the emission mixing: ``S = (1 - P) * (E[p1] - 1/2)``.
     """
-    return _predict(config, _kick_stats(config), _emission_prob(config))
+    return _predict(_model(config))
 
 
-def _predict(config: ExperimentConfig, stats: KickStats, p_emit: float, p1=None) -> tuple[float, float]:
-    """:func:`predicted_signal` on shared inputs; reuses a constant-kick ``p1`` of the analytic engine."""
+def _predict(model: _Model) -> tuple[float, float]:
+    """:func:`predicted_signal` of a model; with the analytic engine, a constant kick's ``p1`` is the run's."""
+    stats, p_emit = model.stats, model.P
     if stats.variance > 0.0:
-        p_mean = _kick_average(stats, config)
-    elif p1 is not None and config.engine == "analytic":
-        p_mean = float(p1)
+        p_mean = _kick_average(model)
+    elif model.config.engine == "analytic":
+        p_mean = float(model.constant_p1)
     else:
-        p_mean = float(_p1_analytic(np.float64(stats.mean), config))
+        p_mean = float(_p1_analytic(np.float64(stats.mean), model))
     return (1.0 - p_emit) * (p_mean - 0.5), p_emit
 
 
@@ -585,8 +586,8 @@ def sweep(axis: str, values, base: ExperimentConfig) -> list[SweepRow]:
     if the last cell's seed would pass ``2**64 - 1``, no cell runs.
     Each row carries the measured estimate, the exact-engine prediction
     ``S_analytic``, and the emission probability for that cell. The run and
-    the prediction of a cell share one evaluation of the kick statistics, the
-    emission probability and, for a constant kick, ``p1``.
+    the prediction of a cell share one model, which evaluates the kick
+    statistics, ``P`` and, for a constant kick, ``p1`` once.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
@@ -598,11 +599,9 @@ def sweep(axis: str, values, base: ExperimentConfig) -> list[SweepRow]:
         raise ValueError(f"the last sweep cell's seed {last_seed} is not a 64-bit unsigned integer")
     rows = []
     for index, value in enumerate(values):
-        cell = _apply_axis(base, axis, value)
-        cell = dataclasses.replace(cell, seed=base.seed + index)
-        inputs = _cell_inputs(cell)
-        estimate = _simulate(cell, *inputs)
-        s_analytic, p_emit = _predict(cell, *inputs)
+        model = _model(dataclasses.replace(_apply_axis(base, axis, value), seed=base.seed + index))
+        estimate = _simulate(model)
+        s_analytic, p_emit = _predict(model)
         rows.append(
             SweepRow(
                 axis=axis,

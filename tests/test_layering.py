@@ -52,3 +52,33 @@ def test_only_validation_imports_scipy_integrate(path):
     # The kick statistics are closed forms; only validate's QUADPACK reference is a quadrature.
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert not [name for name in imported_modules(tree) if name.split(".")[:2] == ["scipy", "integrate"]]
+
+
+def loss_model_tests(tree: ast.AST) -> list[str]:
+    """The function, by qualified name, of every ``<expr>.loss is None`` or ``is not None`` test in ``tree``."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if (
+                isinstance(child, ast.Compare)
+                and isinstance(child.left, ast.Attribute)
+                and child.left.attr == "loss"
+                and isinstance(child.ops[0], (ast.Is, ast.IsNot))
+                and isinstance(child.comparators[0], ast.Constant)
+                and child.comparators[0].value is None
+            ):
+                found.append(scope)
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_shot_engine_branches_on_the_loss_model_once():
+    # _model resolves a config into the ideal or the lossy model; the engines, runs and predictions read that model.
+    tree = ast.parse(Path(montecarlo.__file__).read_text(encoding="utf-8"))
+    assert sorted(loss_model_tests(tree)) == ["ExperimentConfig.__post_init__", "_apply_axis", "_model"]

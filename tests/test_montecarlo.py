@@ -34,7 +34,6 @@ from kerrcat.montecarlo import (
     outcome_probability,
     predicted_signal,
     run_experiment,
-    sample_kick,
     sweep,
 )
 from kerrcat.protocol import ProtocolParams, run_ideal
@@ -42,6 +41,11 @@ from kerrcat.protocol import ProtocolParams, run_ideal
 
 def _stream(seed: int) -> np.random.Generator:
     return montecarlo._stream(seed, montecarlo._KICK_STREAM)
+
+
+def _draw(rng: np.random.Generator, stats: KickStats, size: int) -> np.ndarray:
+    """``size`` kicks on the next ``size`` uniforms of ``rng``, through the map runs use."""
+    return montecarlo._kicks_from(rng.random(size), stats)
 
 
 def ideal_config(**overrides) -> ExperimentConfig:
@@ -82,7 +86,7 @@ class TestSampleKick:
     def test_zero_variance_returns_mean_exactly(self):
         stats = KickStats(mean=0.0123, variance=0.0)
         rng = _stream(7)
-        draws = sample_kick(rng, stats, size=100)
+        draws = _draw(rng, stats, size=100)
         assert draws.shape == (100,)
         assert np.all(draws == 0.0123)
         # The draws consumed their uniforms, as draws of a non-zero variance do.
@@ -90,23 +94,23 @@ class TestSampleKick:
 
     def test_moments_match_request(self):
         stats = KickStats(mean=0.3, variance=0.04)
-        draws = sample_kick(_stream(11), stats, size=1_000_000)
+        draws = _draw(_stream(11), stats, size=1_000_000)
         n = draws.size
         assert abs(draws.mean() - 0.3) < 4.0 * 0.2 / math.sqrt(n)
         assert abs(draws.var() / 0.04 - 1.0) < 0.01
 
     def test_same_seed_same_draws(self):
         stats = KickStats(mean=0.0, variance=1.0)
-        a = sample_kick(_stream(3), stats, size=50)
-        b = sample_kick(_stream(3), stats, size=50)
+        a = _draw(_stream(3), stats, size=50)
+        b = _draw(_stream(3), stats, size=50)
         assert np.array_equal(a, b)
 
     def test_one_uniform_per_draw(self):
         stats = KickStats(mean=0.0, variance=1.0)
         rng = _stream(5)
-        first = sample_kick(rng, stats, size=5)
-        second = sample_kick(rng, stats, size=5)
-        joined = sample_kick(_stream(5), stats, size=10)
+        first = _draw(rng, stats, size=5)
+        second = _draw(rng, stats, size=5)
+        joined = _draw(_stream(5), stats, size=10)
         assert np.array_equal(np.concatenate([first, second]), joined)
 
 
@@ -206,10 +210,10 @@ class TestConfigValidation:
         dims = []
         batch = montecarlo._p1_brute_force
 
-        def spy(delta_prime, config):
+        def spy(delta_prime, model):
             mine = shapes[threading.get_ident()]
             first = len(mine)
-            result = batch(delta_prime, config)
+            result = batch(delta_prime, model)
             dims.append({dim for dim, _ in mine[first:]})
             return result
 
@@ -219,10 +223,10 @@ class TestConfigValidation:
         config = lossy_config(protocol=protocol, loss=reference_params(temp=30.0), shots=shots, engine="brute-force")
         run_experiment(config)
         kick_rng = _stream(config.seed)
-        stats = montecarlo._kick_stats(config)
+        stats = montecarlo._model(config).stats
         wanted = []
         for start in range(0, shots, montecarlo._CHUNK_SHOTS):
-            kicks = sample_kick(kick_rng, stats, size=min(montecarlo._CHUNK_SHOTS, shots - start))
+            kicks = _draw(kick_rng, stats, size=min(montecarlo._CHUNK_SHOTS, shots - start))
             total = kicks + lossy_offset(config.protocol.alpha, config.loss)
             wanted.append(montecarlo._brute_force_dim(config, float(np.max(np.abs(total)))))
         assert all(len(batch_dims) == 1 for batch_dims in dims)
@@ -361,12 +365,13 @@ class TestEngineCalls:
     @staticmethod
     def _spy(monkeypatch) -> list[int]:
         sizes: list[int] = []
+        p1 = montecarlo._Model.p1
 
-        def spy(delta_prime, config):
-            sizes.append(np.size(delta_prime))
-            return outcome_probability(delta_prime, config)
+        def spy(model, kicks):
+            sizes.append(np.size(kicks))
+            return p1(model, kicks)
 
-        monkeypatch.setattr(montecarlo, "outcome_probability", spy)
+        monkeypatch.setattr(montecarlo._Model, "p1", spy)
         return sizes
 
     def test_constant_kick_evaluates_p1_once(self, monkeypatch):
@@ -396,13 +401,14 @@ class TestEngineCalls:
 
 def _engine_counts(config: ExperimentConfig) -> int:
     """``m_counts`` on the streams of ``run_experiment``, with the engine evaluated at every kick."""
-    stats, p_emit = montecarlo._kick_stats(config), montecarlo._emission_prob(config)
+    model = montecarlo._model(config)
+    stats, p_emit = model.stats, model.P
     purposes = (montecarlo._KICK_STREAM, montecarlo._EMISSION_STREAM, montecarlo._OUTCOME_STREAM)
     kick_rng, emit_rng, out_rng = (montecarlo._stream(config.seed, purpose) for purpose in purposes)
     heads = 0
     for start in range(0, config.shots, montecarlo._CHUNK_SHOTS):
         size = min(montecarlo._CHUNK_SHOTS, config.shots - start)
-        p1 = outcome_probability(sample_kick(kick_rng, stats, size=size), config)
+        p1 = outcome_probability(_draw(kick_rng, stats, size=size), config)
         u_out = out_rng.random(size)
         emitted = emit_rng.random(size) < p_emit if p_emit > 0.0 else np.zeros(size, dtype=bool)
         heads += int(np.count_nonzero(np.where(emitted, u_out < 0.5, u_out < p1)))
@@ -411,14 +417,14 @@ def _engine_counts(config: ExperimentConfig) -> int:
 
 def _chunk_kicks(u_kick: np.ndarray, config: ExperimentConfig) -> tuple[np.ndarray, float, float]:
     """The kicks of a chunk's uniforms, and the fit range: the kicks of its extreme uniforms."""
-    stats = montecarlo._kick_stats(config)
+    stats = montecarlo._model(config).stats
     lo, hi = montecarlo._kicks_from(np.array([u_kick.min(), u_kick.max()]), stats)
     return montecarlo._kicks_from(u_kick, stats), lo, hi
 
 
 def _fitted(kicks: np.ndarray, lo: float, hi: float, config: ExperimentConfig) -> np.ndarray:
     """The chunk fit's ``p1`` at each kick."""
-    coeffs = montecarlo._chunk_fit(lo, hi, config)
+    coeffs = montecarlo._chunk_fit(lo, hi, montecarlo._model(config))
     assert coeffs is not None
     return chebval(np.clip((2.0 * kicks - (lo + hi)) / (hi - lo), -1.0, 1.0), coeffs)
 
@@ -490,7 +496,7 @@ class TestChunkFit:
         # p1 over 8 kick stds; measured at most 5.0e-16.
         config = lossy_config(loss=reference_params(temp=temp))
         nodes = montecarlo._lobatto(n)
-        values = outcome_probability(4.0 * montecarlo._kick_stats(config).std * nodes, config)
+        values = outcome_probability(4.0 * montecarlo._model(config).stats.std * nodes, config)
         coeffs = montecarlo._chebyshev_coefficients(values)
         assert np.max(np.abs(chebval(nodes, coeffs) - values)) <= 1e-15
 
@@ -518,14 +524,15 @@ class TestChunkFit:
         ties = np.flatnonzero(np.abs(u_out - fitted) <= band)
         assert list(ties) == [3, 7, 500, 60_000]
         calls = []
+        p1 = montecarlo._Model.p1
 
-        def spy(delta_prime, config):
-            result = outcome_probability(delta_prime, config)
-            calls.append((np.array(delta_prime), result))
+        def spy(model, kicks):
+            result = p1(model, kicks)
+            calls.append((np.array(kicks), result))
             return result
 
-        monkeypatch.setattr(montecarlo, "outcome_probability", spy)
-        heads = montecarlo._chunk_heads(u_kick, u_out, None, montecarlo._kick_stats(config), config)
+        monkeypatch.setattr(montecarlo._Model, "p1", spy)
+        heads = montecarlo._chunk_heads(u_kick, u_out, None, montecarlo._model(config))
         deltas, values = calls[-1]
         np.testing.assert_array_equal(deltas, np.concatenate(([lo, hi], kicks[ties])))
         np.testing.assert_array_equal(heads[ties], u_out[ties] < values[2:])
@@ -536,29 +543,29 @@ class TestChunkFit:
         # alpha0 = 1.5 at 0.05 K: about 13% of the outcome uniforms fall within
         # the series' bound of its constant term.
         config = lossy_config(loss=reference_params(temp=0.05))
-        stats, size = montecarlo._kick_stats(config), 2**16
+        model, size = montecarlo._model(config), 2**16
         u_kick, u_out = _stream(6).random(size), np.random.default_rng(6).random(size)
         emitted = np.random.default_rng(7).random(size) < 0.1
         mapped = _spy_kick_map(monkeypatch)
-        heads = montecarlo._chunk_heads(u_kick, u_out, emitted, stats, config)
+        heads = montecarlo._chunk_heads(u_kick, u_out, emitted, model)
         assert len(mapped) == 2
         np.testing.assert_array_equal(mapped[0], [u_kick.min(), u_kick.max()])
         assert mapped[1].size <= 0.2 * size
         assert not np.any(np.isin(mapped[1], u_kick[emitted]))
-        p1 = outcome_probability(sample_kick(_stream(6), stats, size), config)
+        p1 = outcome_probability(_draw(_stream(6), model.stats, size), config)
         np.testing.assert_array_equal(heads, np.where(emitted, u_out < 0.5, u_out < p1))
 
     @pytest.mark.filterwarnings("ignore:emission probability exceeds")
     def test_hot_chunk_maps_every_kick(self, monkeypatch):
         # At 300 K the range of an alpha0 = 4 chunk asks for more than the node cap.
         config = lossy_config(protocol=ProtocolParams(alpha0=4.0, apply_offset=True), loss=reference_params(temp=300.0))
-        stats, size = montecarlo._kick_stats(config), 2**16
+        model, size = montecarlo._model(config), 2**16
         u_kick, u_out = _stream(8).random(size), np.random.default_rng(8).random(size)
         emitted = np.random.default_rng(9).random(size) < 0.1
         mapped = _spy_kick_map(monkeypatch)
-        heads = montecarlo._chunk_heads(u_kick, u_out, emitted, stats, config)
+        heads = montecarlo._chunk_heads(u_kick, u_out, emitted, model)
         assert [m.size for m in mapped] == [2, size]
-        p1 = outcome_probability(sample_kick(_stream(8), stats, size), config)
+        p1 = outcome_probability(_draw(_stream(8), model.stats, size), config)
         np.testing.assert_array_equal(heads, np.where(emitted, u_out < 0.5, u_out < p1))
 
     @pytest.mark.parametrize("centre", [math.exp(-2.0), 1.0 - math.exp(-2.0)])
@@ -569,7 +576,7 @@ class TestChunkFit:
         # 5 consecutive doubles there, and one spread over (centre, 1), each get
         # uniforms half a tie band either side of every engine p1.
         config = lossy_config(protocol=ProtocolParams(alpha0=alpha0, apply_offset=True), loss=reference_params(temp=0.05))
-        stats = montecarlo._kick_stats(config)
+        model = montecarlo._model(config)
         doubles = centre + np.spacing(centre) * np.arange(-160, 161)
         chunks = [doubles[start : start + width] for width in (3, 5) for start in range(doubles.size - width)]
         chunks.append(np.concatenate((doubles, np.random.default_rng(3).uniform(centre, 1.0, 2000))))
@@ -579,7 +586,7 @@ class TestChunkFit:
             outside += bool(np.any((kicks < lo) | (kicks > hi)))
             p1 = outcome_probability(kicks, config)
             u_out = p1 + np.tile([0.5, -0.5], u_kick.size) * montecarlo._TIE_BAND
-            heads = montecarlo._chunk_heads(np.repeat(u_kick, 2), u_out, None, stats, config)
+            heads = montecarlo._chunk_heads(np.repeat(u_kick, 2), u_out, None, model)
             np.testing.assert_array_equal(heads, u_out < p1)
         assert outside > 0
 
@@ -720,8 +727,9 @@ class TestPrediction:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # P > 0.5 at alpha0 = 4
                 s_analytic, p_emit = predicted_signal(config)
-            stats = montecarlo._kick_stats(config)
-            p1 = montecarlo._p1_analytic(stats.mean + math.sqrt(2.0 * stats.variance) * nodes, config)
+            model = montecarlo._model(config)
+            stats = model.stats
+            p1 = montecarlo._p1_analytic(stats.mean + math.sqrt(2.0 * stats.variance) * nodes, model)
             reference = (1.0 - p_emit) * (float(weights @ p1) / math.sqrt(math.pi) - 0.5)
             # Measured max gap 7.0e-13 (300 K, alpha0 = 0.5).
             assert abs(s_analytic - reference) < 1e-10, alpha0
@@ -729,8 +737,9 @@ class TestPrediction:
     def test_keeps_21_nodes_where_they_converge(self):
         nodes, weights = np.polynomial.hermite.hermgauss(21)
         config = self._config(1.5, 0.05)
-        stats = montecarlo._kick_stats(config)
-        p1 = montecarlo._p1_analytic(stats.mean + math.sqrt(2.0 * stats.variance) * nodes, config)
+        model = montecarlo._model(config)
+        stats = model.stats
+        p1 = montecarlo._p1_analytic(stats.mean + math.sqrt(2.0 * stats.variance) * nodes, model)
         s_analytic, p_emit = predicted_signal(config)
         assert s_analytic == pytest.approx((1.0 - p_emit) * (float(weights @ p1) / math.sqrt(math.pi) - 0.5), abs=1e-15)
 
@@ -752,6 +761,40 @@ class TestPrediction:
         monkeypatch.setattr(montecarlo, "_MAX_HERMITE_NODES", 64)
         with pytest.warns(UserWarning, match="did not converge"):
             predicted_signal(self._config(2.5, 3000.0))
+
+    @pytest.mark.parametrize(
+        "run", [predicted_signal, lambda config: sweep("temp", [3000.0], config)], ids=["predicted_signal", "sweep"]
+    )
+    def test_non_convergence_warning_names_the_caller(self, monkeypatch, run):
+        monkeypatch.setattr(montecarlo, "_MAX_HERMITE_NODES", 64)
+        with pytest.warns(UserWarning, match="did not converge") as record:
+            run(self._config(2.5, 3000.0, shots=100))
+        assert [w.filename for w in record if "did not converge" in str(w.message)] == [__file__]
+
+
+class TestModel:
+    """A config resolves into one model; ``P`` is evaluated where a run or a prediction needs it, first."""
+
+    def test_outcome_probability_does_not_evaluate_P(self):
+        # alpha0 = 4 at the reference rates puts P above 0.5, which warns wherever P is evaluated.
+        config = lossy_config(protocol=ProtocolParams(alpha0=4.0, apply_offset=True))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert 0.0 < outcome_probability(0.0, config) < 1.0
+        with pytest.warns(UserWarning, match="emission probability exceeds 0.5"):
+            predicted_signal(config)
+
+    @pytest.mark.parametrize(
+        "run",
+        [run_experiment, predicted_signal, lambda config: sweep("delta", [0.0], config)],
+        ids=["run_experiment", "predicted_signal", "sweep"],
+    )
+    def test_P_warns_before_an_undefined_offset_raises(self, run):
+        # lambda_kerr = 50 Hz at kappa = 100 kHz makes eta underflow to 0, so the offset is undefined.
+        loss = dataclasses.replace(reference_params(), lambda_kerr=2.0 * math.pi * 50.0)
+        with pytest.warns(UserWarning, match="emission probability exceeds 0.5"):
+            with pytest.raises(ValueError, match="offset is undefined"):
+                run(lossy_config(loss=loss, shots=100))
 
 
 class TestBruteForceBatch:
