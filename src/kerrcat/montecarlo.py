@@ -1,20 +1,19 @@
 """Shot-level simulation of the force measurement as a biased-coin experiment.
 
 Each shot samples a momentum kick (deterministic force part plus Gaussian
-thermal/vacuum noise, from :func:`kerrcat.loss.momentum_kick_stats`), decides
-whether a photon emission scrambled the shot (in which case the outcome is a
-fair coin), and otherwise flips a coin with the no-emission probability
-``p1 = Prob(X > 0)``. Counts aggregate into a ``SignalEstimate`` with
-``S = m/M - 1/2`` and ``sigma_S = 1/sqrt(4M)``.
+thermal/vacuum noise, from :func:`kerrcat.loss.momentum_kick_stats`) and
+flips one coin, heads with probability ``q = P/2 + (1 - P) * p1``: a photon
+emission (probability ``P``) makes it a fair coin, and otherwise heads has
+the no-emission probability ``p1 = Prob(X > 0)``. Counts aggregate into a
+``SignalEstimate`` with ``S = m/M - 1/2`` and ``sigma_S = 1/sqrt(4M)``.
 
-Randomness is counter-based and order-independent: three independent
-Philox streams keyed ``(seed, purpose)`` drive kicks, emission decisions,
-and outcome coins, one uniform per shot per stream; a stream whose decision
-cannot vary (a zero-variance kick, a zero emission probability) is not
-drawn. Shots run in chunks, and each chunk opens its streams at its own
-counter, so the chunks of a run are drawn and decided concurrently, up to
-two at once. Identical ``(config, seed)`` reproduce results bit-exactly
-regardless of scheduling and of the number of cores.
+Randomness is counter-based and order-independent: two independent Philox
+streams keyed ``(seed, purpose)`` drive kicks and outcome coins, one uniform
+per shot per stream; a zero-variance kick draws no kick stream. Shots run in
+chunks, and each chunk opens its streams at its own counter, so the chunks
+of a run are drawn and decided concurrently, up to two at once. Identical
+``(config, seed)`` reproduce results bit-exactly regardless of scheduling
+and of the number of cores.
 
 Two outcome engines are provided. The ``analytic`` engine evaluates
 ``p1`` exactly from the coherent-branch algebra (closed-form Gaussian
@@ -26,7 +25,7 @@ overlaps; it is the independent validation path. Both read a config resolved
 once into a model (:func:`_model`, the only branch between the ideal and the
 lossy pipeline), which a sweep cell's run and prediction share.
 
-A shot needs ``p1`` only to compare it with its outcome uniform. So a chunk
+A shot needs ``q`` only to compare it with its outcome uniform. So a chunk
 of distinct thermal kicks evaluates the engine at a few Chebyshev points of
 the chunk's kick range, decides its shots from the fitted series, and hands
 back to the engine only the shots whose uniform lies within ``_TIE_BAND`` of
@@ -78,7 +77,6 @@ __all__ = [
 SWEEP_AXES = ("alpha", "delta", "kappa", "gamma", "temp", "shots", "lambda_kerr", "g")
 
 _KICK_STREAM = 1
-_EMISSION_STREAM = 2
 _OUTCOME_STREAM = 3
 
 #: Shots evaluated per batch by ``run_experiment``.
@@ -95,13 +93,13 @@ _MAX_HERMITE_NODES = 2**16
 #: Two successive rules of the kick average that agree this closely have converged.
 _HERMITE_TOL = 1e-12
 
-#: Lowest and highest degree of the Chebyshev fit of a chunk's ``p1``; past the
+#: Lowest and highest degree of the Chebyshev fit of a chunk's ``q``; past the
 #: highest, evaluating the series costs about as much as the engine on every shot.
 _MIN_FIT_DEGREE = 8
 _MAX_FIT_DEGREE = 64
 #: A fit is accepted when it meets the engine this closely where it was not fitted.
 _FIT_TOL = 1e-14
-#: Shots whose outcome uniform lies this close to the fitted ``p1`` are decided by the engine.
+#: Shots whose outcome uniform lies this close to the fitted ``q`` are decided by the engine.
 _TIE_BAND = 1e-12
 
 #: Largest single-mode dimension the brute-force engine accepts.
@@ -177,7 +175,7 @@ def _kicks_from(u: np.ndarray, stats: KickStats) -> np.ndarray:
 class _Model:
     """A config resolved, by :func:`_model`, into what the shot engine reads.
 
-    ``stages(N)`` builds the number-basis stages around the kick ``q = stage_sign * total``.
+    ``stages(N)`` builds the number-basis stages around the kick ``stage_sign * total``.
     ``P`` is evaluated on first read, which every run path makes before it reads the offset.
     """
 
@@ -206,6 +204,10 @@ class _Model:
     def p1(self, kicks: np.ndarray) -> np.ndarray:
         """``p1`` of a batch of physical kicks, from the config's engine."""
         return (_p1_analytic if self.config.engine == "analytic" else _p1_brute_force)(kicks, self)
+
+    def q(self, p1):
+        """Heads probability of a shot whose no-emission outcome is heads with ``p1``: an emission is a fair coin."""
+        return 0.5 * self.P + (1.0 - self.P) * p1
 
 
 def _model(config: ExperimentConfig) -> _Model:
@@ -314,9 +316,9 @@ def outcome_probability(delta_prime, config: ExperimentConfig):
 
     ``delta_prime`` is the physical kick (force plus noise); the config's
     working-point offset is added internally. The value is conditioned on no
-    photon emission — the shot engine mixes in the fair-coin emission branch
-    separately. Scalar input returns a float; array input returns an array
-    (vectorized over kicks in both engines).
+    photon emission; a shot's coin ``q`` mixes in the fair-coin emission
+    branch (:meth:`_Model.q`). Scalar input returns a float; array input
+    returns an array (vectorized over kicks in both engines).
     """
     arr = np.asarray(delta_prime, dtype=float)
     result = _model(config).p1(arr)
@@ -339,17 +341,17 @@ def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def _chebyshev_fit(p1_at, degree: int) -> np.ndarray | None:
-    """Chebyshev series of ``p1_at`` on [-1, 1] that meets it to ``_FIT_TOL``, or ``None``.
+def _chebyshev_fit(q_at, degree: int) -> np.ndarray | None:
+    """Chebyshev series of ``q_at`` on [-1, 1] that meets it to ``_FIT_TOL``, or ``None``.
 
     Degree ``d`` is fitted through ``_lobatto(d)`` and checked at the ``d``
     points between them, where it was not fitted: together they are
     ``_lobatto(2 d)``. A failed check doubles ``d``, and the check points join
-    the fit's, so ``p1_at`` sees each point once. Returns ``None`` once ``d``
+    the fit's, so ``q_at`` sees each point once. Returns ``None`` once ``d``
     would pass ``_MAX_FIT_DEGREE``, after at most ``2 * _MAX_FIT_DEGREE + 1`` points.
     """
     nodes = _lobatto(2 * degree)
-    values = p1_at(nodes)
+    values = q_at(nodes)
     while True:
         coeffs = _chebyshev_coefficients(values[::2])
         if np.max(np.abs(chebval(nodes[1::2], coeffs) - values[1::2])) <= _FIT_TOL:
@@ -360,18 +362,18 @@ def _chebyshev_fit(p1_at, degree: int) -> np.ndarray | None:
         nodes = _lobatto(2 * degree)
         finer = np.empty(nodes.size)
         finer[::2] = values
-        finer[1::2] = p1_at(nodes[1::2])
+        finer[1::2] = q_at(nodes[1::2])
         values = finer
 
 
 def _chunk_engine(deltas: np.ndarray, lo: float, hi: float, model: _Model) -> np.ndarray:
-    """``p1`` of ``deltas`` from the engine, in a batch sized as for a chunk with kicks in ``[lo, hi]``."""
+    """``q`` of ``deltas`` from the engine, in a batch sized as for a chunk with kicks in ``[lo, hi]``."""
     # The extreme kicks ride along, so the brute-force engine sizes N as for the whole chunk.
-    return model.p1(np.concatenate(([lo, hi], deltas)))[2:]
+    return model.q(model.p1(np.concatenate(([lo, hi], deltas)))[2:])
 
 
 def _chunk_fit(lo: float, hi: float, model: _Model) -> np.ndarray | None:
-    """Chebyshev series of ``p1`` over the kicks ``[lo, hi]`` mapped onto [-1, 1], or ``None``.
+    """Chebyshev series of ``q`` over the kicks ``[lo, hi]`` mapped onto [-1, 1], or ``None``.
 
     ``None`` sends the chunk to the engine at every kick; see :func:`run_experiment`.
     """
@@ -384,35 +386,32 @@ def _chunk_fit(lo: float, hi: float, model: _Model) -> np.ndarray | None:
     return _chebyshev_fit(lambda t: _chunk_engine(0.5 * (lo * (1.0 - t) + hi * (1.0 + t)), lo, hi, model), degree)
 
 
-def _chunk_heads(u_kick: np.ndarray, u_out: np.ndarray, emitted: np.ndarray | None, model: _Model) -> np.ndarray:
+def _chunk_heads(u_kick: np.ndarray, u_out: np.ndarray, model: _Model) -> np.ndarray:
     """Heads of each shot of a chunk of distinct kicks, mapping a kick uniform only where the outcome needs it.
 
-    ``u_kick`` and ``u_out`` are the chunk's kick and outcome uniforms, and
-    ``emitted`` marks its fair-coin shots (``None`` marks none). The fit, the
-    bound and the fall-backs are described in :func:`run_experiment`.
+    ``u_kick`` and ``u_out`` are the chunk's kick and outcome uniforms. The
+    fit, the bound and the fall-backs are described in :func:`run_experiment`.
     """
-    if emitted is None:
-        emitted = np.zeros(u_out.size, dtype=bool)
     lo, hi = _kicks_from(np.array([u_kick.min(), u_kick.max()]), model.stats)
     coeffs = _chunk_fit(lo, hi, model)
     if coeffs is None:
-        return np.where(emitted, u_out < 0.5, u_out < model.p1(_kicks_from(u_kick, model.stats)))
+        return u_out < model.q(model.p1(_kicks_from(u_kick, model.stats)))
     # On [-1, 1] the series lies within sum_{k>=1} |c_k| of c0. A uniform farther than that plus the
-    # tie band from c0 lies more than the band from its shot's fitted p1, on the same side as c0.
+    # tie band from c0 lies more than the band from its shot's fitted q, on the same side as c0.
     c0, reach = coeffs[0], np.sum(np.abs(coeffs[1:])) + _TIE_BAND
-    heads = np.where(emitted, u_out < 0.5, u_out < c0)
-    open_shots = np.flatnonzero(~emitted & (u_out >= c0 - reach) & (u_out <= c0 + reach))
+    heads = u_out < c0
+    open_shots = np.flatnonzero((u_out >= c0 - reach) & (u_out <= c0 + reach))
     # ndtri is not monotone to the ulp (near u = e^-2 and 1 - e^-2), so a kick can lie an ulp
     # outside [lo, hi]. Its t is clipped to [-1, 1], where the bound holds, which moves its fitted
-    # p1 by the slope times an ulp. Unclipped, in a chunk only a few ulps wide such a kick can land
+    # q by the slope times an ulp. Unclipped, in a chunk only a few ulps wide such a kick can land
     # at |t| = 3, where the series' rounding noise grows past the tie band.
     kicks = _kicks_from(u_kick[open_shots], model.stats)
     u = u_out[open_shots]
-    p1 = chebval(np.clip((2.0 * kicks - (lo + hi)) / (hi - lo), -1.0, 1.0), coeffs)
-    near = np.flatnonzero(np.abs(u - p1) <= _TIE_BAND)
+    q = chebval(np.clip((2.0 * kicks - (lo + hi)) / (hi - lo), -1.0, 1.0), coeffs)
+    near = np.flatnonzero(np.abs(u - q) <= _TIE_BAND)
     if near.size:
-        p1[near] = _chunk_engine(kicks[near], lo, hi, model)
-    heads[open_shots] = u < p1
+        q[near] = _chunk_engine(kicks[near], lo, hi, model)
+    heads[open_shots] = u < q
     return heads
 
 
@@ -424,13 +423,13 @@ def _digest(config: ExperimentConfig) -> str:
 def run_experiment(config: ExperimentConfig) -> SignalEstimate:
     """Simulate ``config.shots`` shots and aggregate them into an estimate.
 
-    Per shot: draw the kick, decide emission (probability ``P``), and flip
-    heads with probability 1/2 (emission scrambles the phase) or with the
-    no-emission ``p1(kick)``. All three decisions come from independent
-    counter-based streams derived from ``config.seed``, so results are
-    bit-exact for identical inputs.
+    Per shot: draw the kick, and flip heads with probability ``q(kick)``
+    (:meth:`_Model.q`), which mixes the fair coin of an emission into the
+    no-emission ``p1(kick)``. Both come from independent counter-based
+    streams derived from ``config.seed``, so results are bit-exact for
+    identical inputs.
 
-    Shots run in chunks of ``_CHUNK_SHOTS``. Each chunk opens its three
+    Shots run in chunks of ``_CHUNK_SHOTS``. Each chunk opens its two
     streams at the counter of its first shot, so it draws the same uniforms
     as a run drawn in one piece, and no chunk waits for another. The chunks
     of a run of more than one chunk run on a pool of threads, made by the
@@ -442,17 +441,17 @@ def run_experiment(config: ExperimentConfig) -> SignalEstimate:
     which chunks finish.
 
     A chunk of distinct kicks, whatever its length, does not evaluate the
-    engine per shot. It fits a Chebyshev series to ``p1`` over the chunk's
+    engine per shot. It fits a Chebyshev series to ``q`` over the chunk's
     kick range, starting at the degree that the range times
     :func:`_p1_bandwidth` asks for, through at most
     ``2 * _MAX_FIT_DEGREE + 1`` engine values, and accepts it only where it
     meets the engine to ``_FIT_TOL = 1e-14`` at points it was not fitted on
     (:func:`_chebyshev_fit`). That agreement is checked at those points
-    only; between them it rests on ``p1`` being analytic in the kick. Every
+    only; between them it rests on ``q`` being analytic in the kick. Every
     shot whose uniform lies within ``_TIE_BAND = 1e-12`` of the fitted
-    ``p1`` is decided by the engine itself, and every other shot lies 100
-    check tolerances away from its fitted ``p1``, so it gets the outcome
-    ``u < p1`` of the engine. A chunk with a single distinct kick, one
+    ``q`` is decided by the engine itself, and every other shot lies 100
+    check tolerances away from its fitted ``q``, so it gets the outcome
+    ``u < q`` of the engine. A chunk with a single distinct kick, one
     whose range asks for a degree above ``_MAX_FIT_DEGREE``, and one that
     no fit meets evaluate the engine at every kick. The engine's own value
     for one kick can differ by up to one ulp with the length of the batch
@@ -461,19 +460,17 @@ def run_experiment(config: ExperimentConfig) -> SignalEstimate:
     Most shots of a fitted chunk are decided from their outcome uniform
     alone. The chunk's kick range is the kicks of its smallest and largest
     kick uniform, and on it the series lies within ``R = sum_{k>=1} |c_k|``
-    of its constant term ``c0``. A shot that was emitted, or whose uniform
-    lies farther than ``R + _TIE_BAND`` from ``c0``, lies more than the band
-    from its fitted ``p1`` too, so its outcome is known without its kick.
-    Only the other shots map their kick uniform through ``ndtri`` and
-    evaluate the series and the tie check (at 0.02-0.1 K with alpha0 = 1.5,
-    about 11% of them).
+    of its constant term ``c0``. A shot whose uniform lies farther than
+    ``R + _TIE_BAND`` from ``c0`` lies more than the band from its fitted
+    ``q`` too, so its outcome is known without its kick. Only the other
+    shots map their kick uniform through ``ndtri`` and evaluate the series
+    and the tie check (at 0.02-0.1 K with alpha0 = 1.5, about 11% of them).
 
     Each shot draws and evaluates only what its outcome depends on. With a
     zero-variance kick (the ideal model) every shot shares one kick, so
     ``p1`` is evaluated once, as a one-element batch, and no kick uniforms
-    are drawn. With ``P = 0`` no emission uniforms are drawn, since
-    ``u < 0`` never holds for a uniform in [0, 1). Each stream has its own
-    key, so skipping one moves none of the others.
+    are drawn; each stream has its own key, so skipping it moves no
+    outcome. With ``P = 0``, ``q`` is ``p1`` bit for bit.
     """
     return _simulate(_model(config))
 
@@ -481,9 +478,9 @@ def run_experiment(config: ExperimentConfig) -> SignalEstimate:
 def _simulate(model: _Model) -> SignalEstimate:
     """The shot loop of :func:`run_experiment`, on a model."""
     # Read on the calling thread, so no chunk evaluates them, and P before the offset that p1 reads.
-    p_emit, p1 = model.P, model.constant_p1
+    _, p1 = model.P, model.constant_p1
     starts = range(0, model.config.shots, _CHUNK_SHOTS)
-    count = functools.partial(_chunk_count, model, p_emit, p1)
+    count = functools.partial(_chunk_count, model, None if p1 is None else model.q(p1))
     m_counts = count(0) if len(starts) == 1 else sum(_chunk_pool().map(count, starts))
     return SignalEstimate(
         m_counts=m_counts,
@@ -493,17 +490,14 @@ def _simulate(model: _Model) -> SignalEstimate:
     )
 
 
-def _chunk_count(model: _Model, p_emit: float, p1, start: int) -> int:
-    """Heads among the shots ``start`` to ``start + _CHUNK_SHOTS`` of a run, from streams opened at ``start``."""
+def _chunk_count(model: _Model, q, start: int) -> int:
+    """Heads among shots ``start`` to ``start + _CHUNK_SHOTS``, from streams opened at ``start``; ``q`` of a constant kick."""
     seed, size = model.config.seed, min(_CHUNK_SHOTS, model.config.shots - start)
     u_out = _stream(seed, _OUTCOME_STREAM, start).random(size)
-    emitted = _stream(seed, _EMISSION_STREAM, start).random(size) < p_emit if p_emit > 0.0 else None
     if model.stats.variance > 0.0:
-        heads = _chunk_heads(_stream(seed, _KICK_STREAM, start).random(size), u_out, emitted, model)
-    elif emitted is None:
-        heads = u_out < p1
+        heads = _chunk_heads(_stream(seed, _KICK_STREAM, start).random(size), u_out, model)
     else:
-        heads = np.where(emitted, u_out < 0.5, u_out < p1)
+        heads = u_out < q
     return int(np.count_nonzero(heads))
 
 
@@ -543,7 +537,7 @@ def predicted_signal(config: ExperimentConfig) -> tuple[float, float]:
 
     Averages ``p1`` over the thermal kick distribution (Gauss-Hermite, with
     as many nodes as the kick noise needs; see :func:`_kick_average`) and
-    applies the emission mixing: ``S = (1 - P) * (E[p1] - 1/2)``.
+    mixes in emission as a run does: ``S = q(E[p1]) - 1/2`` (:meth:`_Model.q`).
     """
     return _predict(_model(config))
 
@@ -557,7 +551,7 @@ def _predict(model: _Model) -> tuple[float, float]:
         p_mean = float(model.constant_p1)
     else:
         p_mean = float(_p1_analytic(np.float64(stats.mean), model))
-    return (1.0 - p_emit) * (p_mean - 0.5), p_emit
+    return model.q(p_mean) - 0.5, p_emit
 
 
 def _apply_axis(base: ExperimentConfig, axis: str, value) -> ExperimentConfig:

@@ -275,7 +275,7 @@ class TestConfigValidation:
 class TestStreams:
     @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**63 - 1])
     def test_seeds_below_2_63_keep_their_streams(self, seed):
-        for purpose in (montecarlo._KICK_STREAM, montecarlo._EMISSION_STREAM, montecarlo._OUTCOME_STREAM):
+        for purpose in (montecarlo._KICK_STREAM, montecarlo._OUTCOME_STREAM):
             listed = np.random.Generator(np.random.Philox(key=[seed, purpose])).random(8)
             np.testing.assert_array_equal(montecarlo._stream(seed, purpose).random(8), listed)
 
@@ -291,13 +291,36 @@ class TestStreams:
     @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
     @pytest.mark.parametrize("first", [0, 4, 2**16, 3 * 2**16])
     def test_stream_opened_at_a_uniform_continues_the_whole_stream(self, seed, first):
-        for purpose in (montecarlo._KICK_STREAM, montecarlo._EMISSION_STREAM, montecarlo._OUTCOME_STREAM):
+        for purpose in (montecarlo._KICK_STREAM, montecarlo._OUTCOME_STREAM):
             whole = montecarlo._stream(seed, purpose).random(first + 1000)
             np.testing.assert_array_equal(montecarlo._stream(seed, purpose, first).random(1000), whole[first:])
 
     def test_chunks_start_on_a_counter_step(self):
         # A stream opens at a counter step of four uniforms, so every chunk must start on one.
         assert montecarlo._CHUNK_SHOTS % 4 == 0
+
+    @pytest.mark.parametrize(
+        "config, purposes",
+        [
+            (lossy_config(loss=reference_params(temp=0.05)), [montecarlo._KICK_STREAM, montecarlo._OUTCOME_STREAM]),
+            (ideal_config(), [montecarlo._OUTCOME_STREAM]),
+        ],
+        ids=["lossy", "ideal"],
+    )
+    def test_each_chunk_opens_only_the_streams_its_shots_draw(self, monkeypatch, config, purposes):
+        # A shot draws its kick (if the kick varies) and its outcome uniform, nothing else.
+        opened = []
+        stream = montecarlo._stream
+
+        def spy(seed, purpose, first=0):
+            opened.append((seed, purpose, first))
+            return stream(seed, purpose, first)
+
+        monkeypatch.setattr(montecarlo, "_stream", spy)
+        config = dataclasses.replace(config, shots=2 * montecarlo._CHUNK_SHOTS + 5, seed=3)
+        run_experiment(config)
+        starts = range(0, config.shots, montecarlo._CHUNK_SHOTS)
+        assert sorted(opened) == sorted((config.seed, purpose, first) for purpose in purposes for first in starts)
 
 
 class TestRunExperiment:
@@ -326,6 +349,22 @@ class TestRunExperiment:
         expected = outcome_probability(cfg.protocol.delta, cfg) - 0.5
         sigma = 1.0 / math.sqrt(4.0 * cfg.shots)
         assert abs(est.S - expected) < 4.0 * sigma
+
+    def test_lossy_signal_matches_prediction_off_the_working_point(self):
+        # Offset off, p1 is far from 1/2 (S = -0.444, P = 0.10), so the emission's fair
+        # coin moves S by ~0.05: ~30 sigma at this shot count. The prediction's mixing
+        # is checked against a kick average of the engine's p1, mixed independently.
+        config = lossy_config(
+            protocol=ProtocolParams(alpha0=1.5, apply_offset=False), loss=reference_params(temp=0.05), shots=100_000
+        )
+        estimate = run_experiment(config)
+        s_analytic, P = predicted_signal(config)
+        stats = montecarlo._model(config).stats
+        nodes, weights = roots_hermite(201)
+        p_mean = weights @ outcome_probability(stats.mean + math.sqrt(2.0 * stats.variance) * nodes, config)
+        assert s_analytic == pytest.approx(_coin(p_mean / math.sqrt(math.pi), P) - 0.5, abs=1e-12)
+        assert s_analytic == pytest.approx(-0.444, abs=1e-3)
+        assert abs(estimate.S - s_analytic) < 5.0 * estimate.sigma_S
 
     def test_lossy_zero_force_signal_matches_prediction(self):
         base = lossy_config(shots=20_000)
@@ -399,19 +438,26 @@ class TestEngineCalls:
         assert sizes == [2 * montecarlo._MIN_FIT_DEGREE + 1 + 2]
 
 
+def _coin(p1, P: float):
+    """Heads probability of a shot: a fair coin with the emission probability ``P``, else ``p1``."""
+    return 0.5 * P + (1.0 - P) * p1
+
+
+def _engine_coin(kicks: np.ndarray, config: ExperimentConfig) -> np.ndarray:
+    """Heads probability of each kick, from the prediction's ``P`` and the engine's ``p1`` at every kick."""
+    return _coin(outcome_probability(kicks, config), predicted_signal(config)[1])
+
+
 def _engine_counts(config: ExperimentConfig) -> int:
     """``m_counts`` on the streams of ``run_experiment``, with the engine evaluated at every kick."""
-    model = montecarlo._model(config)
-    stats, p_emit = model.stats, model.P
-    purposes = (montecarlo._KICK_STREAM, montecarlo._EMISSION_STREAM, montecarlo._OUTCOME_STREAM)
-    kick_rng, emit_rng, out_rng = (montecarlo._stream(config.seed, purpose) for purpose in purposes)
+    stats, (_, P) = montecarlo._model(config).stats, predicted_signal(config)
+    purposes = (montecarlo._KICK_STREAM, montecarlo._OUTCOME_STREAM)
+    kick_rng, out_rng = (montecarlo._stream(config.seed, purpose) for purpose in purposes)
     heads = 0
     for start in range(0, config.shots, montecarlo._CHUNK_SHOTS):
         size = min(montecarlo._CHUNK_SHOTS, config.shots - start)
         p1 = outcome_probability(_draw(kick_rng, stats, size=size), config)
-        u_out = out_rng.random(size)
-        emitted = emit_rng.random(size) < p_emit if p_emit > 0.0 else np.zeros(size, dtype=bool)
-        heads += int(np.count_nonzero(np.where(emitted, u_out < 0.5, u_out < p1)))
+        heads += int(np.count_nonzero(out_rng.random(size) < _coin(p1, P)))
     return heads
 
 
@@ -423,7 +469,7 @@ def _chunk_kicks(u_kick: np.ndarray, config: ExperimentConfig) -> tuple[np.ndarr
 
 
 def _fitted(kicks: np.ndarray, lo: float, hi: float, config: ExperimentConfig) -> np.ndarray:
-    """The chunk fit's ``p1`` at each kick."""
+    """The chunk fit's heads probability ``q`` at each kick."""
     coeffs = montecarlo._chunk_fit(lo, hi, montecarlo._model(config))
     assert coeffs is not None
     return chebval(np.clip((2.0 * kicks - (lo + hi)) / (hi - lo), -1.0, 1.0), coeffs)
@@ -443,7 +489,7 @@ def _spy_kick_map(monkeypatch) -> list[np.ndarray]:
 
 
 class TestChunkFit:
-    """A chunk of distinct kicks decides its shots from a Chebyshev fit of ``p1``."""
+    """A chunk of distinct kicks decides its shots from a Chebyshev fit of its heads probability ``q``."""
 
     @pytest.mark.filterwarnings("ignore:emission probability exceeds")
     @pytest.mark.parametrize("apply_offset", [True, False])
@@ -509,7 +555,7 @@ class TestChunkFit:
         config = lossy_config(protocol=ProtocolParams(alpha0=alpha0, apply_offset=True), loss=reference_params(temp=temp))
         kicks, lo, hi = _chunk_kicks(_stream(1).random(montecarlo._CHUNK_SHOTS), config)
         fitted = _fitted(kicks, lo, hi, config)
-        assert np.max(np.abs(fitted - outcome_probability(kicks, config))) <= montecarlo._FIT_TOL
+        assert np.max(np.abs(fitted - _engine_coin(kicks, config))) <= montecarlo._FIT_TOL
 
     def test_near_ties_are_decided_by_the_engine(self, monkeypatch):
         config = lossy_config(loss=reference_params(temp=0.05))
@@ -532,28 +578,30 @@ class TestChunkFit:
             return result
 
         monkeypatch.setattr(montecarlo._Model, "p1", spy)
-        heads = montecarlo._chunk_heads(u_kick, u_out, None, montecarlo._model(config))
+        heads = montecarlo._chunk_heads(u_kick, u_out, montecarlo._model(config))
         deltas, values = calls[-1]
         np.testing.assert_array_equal(deltas, np.concatenate(([lo, hi], kicks[ties])))
-        np.testing.assert_array_equal(heads[ties], u_out[ties] < values[2:])
+        np.testing.assert_array_equal(heads[ties], u_out[ties] < _coin(values[2:], predicted_signal(config)[1]))
         rest = np.setdiff1d(np.arange(kicks.size), ties)
         np.testing.assert_array_equal(heads[rest], u_out[rest] < fitted[rest])
 
     def test_cold_chunk_maps_only_the_kicks_its_coins_need(self, monkeypatch):
         # alpha0 = 1.5 at 0.05 K: about 13% of the outcome uniforms fall within
-        # the series' bound of its constant term.
+        # the series' bound of its constant term, and only their kicks are mapped.
         config = lossy_config(loss=reference_params(temp=0.05))
         model, size = montecarlo._model(config), 2**16
         u_kick, u_out = _stream(6).random(size), np.random.default_rng(6).random(size)
-        emitted = np.random.default_rng(7).random(size) < 0.1
+        _, lo, hi = _chunk_kicks(u_kick, config)
+        coeffs = montecarlo._chunk_fit(lo, hi, model)
+        reach = np.sum(np.abs(coeffs[1:])) + montecarlo._TIE_BAND
         mapped = _spy_kick_map(monkeypatch)
-        heads = montecarlo._chunk_heads(u_kick, u_out, emitted, model)
+        heads = montecarlo._chunk_heads(u_kick, u_out, model)
         assert len(mapped) == 2
         np.testing.assert_array_equal(mapped[0], [u_kick.min(), u_kick.max()])
+        np.testing.assert_array_equal(mapped[1], u_kick[np.abs(u_out - coeffs[0]) <= reach])
         assert mapped[1].size <= 0.2 * size
-        assert not np.any(np.isin(mapped[1], u_kick[emitted]))
-        p1 = outcome_probability(_draw(_stream(6), model.stats, size), config)
-        np.testing.assert_array_equal(heads, np.where(emitted, u_out < 0.5, u_out < p1))
+        q = _engine_coin(_draw(_stream(6), model.stats, size), config)
+        np.testing.assert_array_equal(heads, u_out < q)
 
     @pytest.mark.filterwarnings("ignore:emission probability exceeds")
     def test_hot_chunk_maps_every_kick(self, monkeypatch):
@@ -561,22 +609,22 @@ class TestChunkFit:
         config = lossy_config(protocol=ProtocolParams(alpha0=4.0, apply_offset=True), loss=reference_params(temp=300.0))
         model, size = montecarlo._model(config), 2**16
         u_kick, u_out = _stream(8).random(size), np.random.default_rng(8).random(size)
-        emitted = np.random.default_rng(9).random(size) < 0.1
         mapped = _spy_kick_map(monkeypatch)
-        heads = montecarlo._chunk_heads(u_kick, u_out, emitted, model)
+        heads = montecarlo._chunk_heads(u_kick, u_out, model)
         assert [m.size for m in mapped] == [2, size]
-        p1 = outcome_probability(_draw(_stream(8), model.stats, size), config)
-        np.testing.assert_array_equal(heads, np.where(emitted, u_out < 0.5, u_out < p1))
+        q = _engine_coin(_draw(_stream(8), model.stats, size), config)
+        np.testing.assert_array_equal(heads, u_out < q)
 
+    @pytest.mark.filterwarnings("ignore:emission probability exceeds")
     @pytest.mark.parametrize("centre", [math.exp(-2.0), 1.0 - math.exp(-2.0)])
     @pytest.mark.parametrize("alpha0", [1.5, 4.0])
     def test_chunks_straddling_a_non_monotone_ndtri_meet_the_engine(self, alpha0, centre):
         # Near e^-2 and 1 - e^-2, ndtri is not monotone to the ulp, so the kicks
         # of the extreme uniforms need not be the extreme kicks. Chunks of 3 and
         # 5 consecutive doubles there, and one spread over (centre, 1), each get
-        # uniforms half a tie band either side of every engine p1.
+        # uniforms half a tie band either side of every engine q.
         config = lossy_config(protocol=ProtocolParams(alpha0=alpha0, apply_offset=True), loss=reference_params(temp=0.05))
-        model = montecarlo._model(config)
+        model, (_, P) = montecarlo._model(config), predicted_signal(config)
         doubles = centre + np.spacing(centre) * np.arange(-160, 161)
         chunks = [doubles[start : start + width] for width in (3, 5) for start in range(doubles.size - width)]
         chunks.append(np.concatenate((doubles, np.random.default_rng(3).uniform(centre, 1.0, 2000))))
@@ -584,10 +632,10 @@ class TestChunkFit:
         for u_kick in chunks:
             kicks, lo, hi = _chunk_kicks(np.repeat(u_kick, 2), config)
             outside += bool(np.any((kicks < lo) | (kicks > hi)))
-            p1 = outcome_probability(kicks, config)
-            u_out = p1 + np.tile([0.5, -0.5], u_kick.size) * montecarlo._TIE_BAND
-            heads = montecarlo._chunk_heads(np.repeat(u_kick, 2), u_out, None, model)
-            np.testing.assert_array_equal(heads, u_out < p1)
+            q = _coin(outcome_probability(kicks, config), P)
+            u_out = q + np.tile([0.5, -0.5], u_kick.size) * montecarlo._TIE_BAND
+            heads = montecarlo._chunk_heads(np.repeat(u_kick, 2), u_out, model)
+            np.testing.assert_array_equal(heads, u_out < q)
         assert outside > 0
 
     @pytest.mark.filterwarnings("ignore:emission probability exceeds")
